@@ -3,8 +3,8 @@
 // (sparse inverted-index vs the paper's dense bit-vector build, serial vs
 // sharded-parallel), Tarjan SCC decomposition, Johnson cycle enumeration,
 // schedule generation (including the 10k-transaction regression guards for
-// the linear-time rewrite), and the end-to-end reorder pass at worker
-// counts 1/2/4.
+// the linear-time rewrite), the end-to-end reorder pass at worker counts
+// 1/2/4, and the hot Smallbank batches where the cycle budget trips.
 //
 // `--smoke` (used by CI) shortens every measurement to 0.05s so the binary
 // doubles as a build-and-run sanity check emitting BENCH_reorder.json.
@@ -107,6 +107,24 @@ void BM_ReorderEndToEnd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ReorderEndToEnd)->Arg(128)->Arg(512)->Arg(1024);
+
+void BM_ReorderSmallbankHot(benchmark::State& state) {
+  // What a hot Smallbank orderer reorders: 256-transaction batches at Zipf
+  // 1.0 over 10k users. MakeBatch's uniform keys never reach this regime,
+  // where the cycle budget trips and the break-and-re-enumerate rounds
+  // dominate. Eight batches in rotation so one lucky batch cannot skew it.
+  std::vector<std::vector<proto::ReadWriteSet>> batches;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    batches.push_back(workload::MakeSmallbankBatch(256, 10000, 1.0, seed));
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    const auto rwsets = workload::AsPointers(batches[next++ % batches.size()]);
+    benchmark::DoNotOptimize(ReorderTransactions(rwsets));
+  }
+  state.SetItemsProcessed(state.iterations() * 256);
+}
+BENCHMARK(BM_ReorderSmallbankHot)->Unit(benchmark::kMillisecond);
 
 void BM_ReorderPaperMicroShift(benchmark::State& state) {
   // The Figure 15 input at full shift (conflict-free after reordering).

@@ -143,12 +143,11 @@ FabricNetwork::FabricNetwork(FabricConfig config,
     orderer_->SetConsensus(&solo_consensus_);
   }
 
-  // 7. Seed every (peer, channel) state database identically.
-  for (auto& peer : peers_) {
-    for (uint32_t c = 0; c < config_.num_channels; ++c) {
-      workload_->SeedState(peer->mutable_state_db(c));
-    }
-  }
+  // 7. Seed the workload's initial state once and layer every (peer,
+  // channel) state database over it: reads fall through to the shared
+  // genesis, writes stay per peer (DESIGN.md §17).
+  const auto genesis = workload_->SeedGenesis();
+  for (auto& peer : peers_) peer->LayerStateOn(genesis);
 
   // 8. Clients, channel-major, round-robin across the client machine's
   // endpoint shards (one shard under sim: all on "clients").

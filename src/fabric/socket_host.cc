@@ -123,9 +123,7 @@ SocketHost::SocketHost(FabricConfig config, const workload::Workload* workload,
       // The full roster signs endorsements; prewarm so remote signatures
       // verify read-only (identities are deterministic in name + seed).
       peer_->PrewarmIdentities(PeerNames());
-      for (uint32_t c = 0; c < config_.num_channels; ++c) {
-        workload_->SeedState(peer_->mutable_state_db(c));
-      }
+      peer_->LayerStateOn(workload_->SeedGenesis());
       break;
     }
     case SocketRole::Kind::kOrderer: {

@@ -88,8 +88,13 @@ class PeerNode {
   const statedb::StateDb& state_db(uint32_t channel) const {
     return channels_[channel].db;
   }
-  statedb::StateDb* mutable_state_db(uint32_t channel) {
-    return &channels_[channel].db;
+  /// Resets every channel's state database to an empty layer over the
+  /// shared, read-only `genesis` (composition root, before any endpoint
+  /// thread starts).
+  void LayerStateOn(const std::shared_ptr<const statedb::StateDb>& genesis) {
+    for (ChannelState& channel : channels_) {
+      channel.db = statedb::StateDb(genesis);
+    }
   }
 
   runtime::Executor& cpu() { return *cpu_; }

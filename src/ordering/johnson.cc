@@ -1,9 +1,6 @@
 #include "ordering/johnson.h"
 
 #include <algorithm>
-#include <unordered_set>
-
-#include "ordering/tarjan.h"
 
 namespace fabricpp::ordering {
 
@@ -19,7 +16,11 @@ class JohnsonEnumerator {
         max_cycles_(max_cycles),
         n_(static_cast<uint32_t>(adj_.size())),
         blocked_(n_, false),
-        b_sets_(n_) {}
+        b_lists_(n_),
+        in_current_scc_(n_, false),
+        index_(n_),
+        lowlink_(n_),
+        on_stack_(n_, false) {}
 
   CycleEnumeration Run() {
     // Classic Johnson outer loop: for ascending start vertex s, work on the
@@ -27,46 +28,80 @@ class JohnsonEnumerator {
     // least vertex; enumerate all circuits through that vertex; advance s.
     uint32_t s = 0;
     while (s < n_ && !out_.budget_exhausted) {
-      const auto scc = LeastScc(s);
-      if (scc.empty()) break;
-      const uint32_t start = *std::min_element(scc.begin(), scc.end());
-      in_current_scc_.assign(n_, false);
-      for (const uint32_t v : scc) in_current_scc_[v] = true;
+      const uint32_t start = LeastScc(s);
+      if (start == kNone) break;
       std::fill(blocked_.begin(), blocked_.end(), false);
-      for (auto& b : b_sets_) b.clear();
-      s = start;
+      for (auto& b : b_lists_) b.clear();
       Circuit(start, start);
-      ++s;
+      s = start + 1;
     }
     return std::move(out_);
   }
 
  private:
-  /// Returns the nodes of the SCC containing the smallest vertex >= s that
-  /// lies in a non-trivial SCC of the induced subgraph; empty if none.
-  std::vector<uint32_t> LeastScc(uint32_t s) {
-    // Children filtered to the subgraph {v >= s}.
-    std::vector<std::vector<uint32_t>> filtered(n_);
-    for (uint32_t v = s; v < n_; ++v) {
-      for (const uint32_t w : adj_[v]) {
-        if (w >= s) filtered[v].push_back(w);
+  static constexpr uint32_t kNone = ~0u;
+
+  /// Finds the non-trivial SCC of the subgraph induced by {v >= s} whose
+  /// least vertex is smallest, marks its members in in_current_scc_ and
+  /// returns that least vertex (kNone if the subgraph is acyclic). An
+  /// iterative Tarjan that skips edges into {v < s} in place and reuses its
+  /// buffers across calls.
+  uint32_t LeastScc(uint32_t s) {
+    std::fill(index_.begin() + s, index_.end(), kNone);
+    uint32_t next_index = 0;
+    uint32_t best_min = kNone;
+    // Roots ascend and every SCC lies within one root's search, so SCCs
+    // found from later roots hold only vertices above the current root:
+    // once the best least vertex is below it, nothing can beat it.
+    for (uint32_t root = s; root < n_ && root < best_min; ++root) {
+      if (index_[root] != kNone) continue;
+      Discover(root, &next_index);
+      while (!dfs_.empty()) {
+        Frame& frame = dfs_.back();
+        const uint32_t v = frame.node;
+        if (frame.child_pos < adj_[v].size()) {
+          const uint32_t w = adj_[v][frame.child_pos++];
+          if (w < s) continue;
+          if (index_[w] == kNone) {
+            Discover(w, &next_index);
+          } else if (on_stack_[w]) {
+            lowlink_[v] = std::min(lowlink_[v], index_[w]);
+          }
+          continue;
+        }
+        if (lowlink_[v] == index_[v]) {
+          // v roots an SCC: the stack suffix from v.
+          size_t first = scc_stack_.size();
+          uint32_t least = kNone;
+          do {
+            --first;
+            on_stack_[scc_stack_[first]] = false;
+            least = std::min(least, scc_stack_[first]);
+          } while (scc_stack_[first] != v);
+          if (scc_stack_.size() - first >= 2 && least < best_min) {
+            best_min = least;
+            best_.assign(scc_stack_.begin() + first, scc_stack_.end());
+          }
+          scc_stack_.resize(first);
+        }
+        dfs_.pop_back();
+        if (!dfs_.empty()) {
+          const uint32_t parent = dfs_.back().node;
+          lowlink_[parent] = std::min(lowlink_[parent], lowlink_[v]);
+        }
       }
     }
-    const auto sccs = StronglyConnectedComponents(
-        n_, [&](uint32_t v) -> const std::vector<uint32_t>& {
-          return filtered[v];
-        });
-    std::vector<uint32_t> best;
-    uint32_t best_min = ~0u;
-    for (const auto& comp : sccs) {
-      if (comp.size() < 2) continue;
-      if (comp.front() < s) continue;  // Entirely within the subgraph only.
-      if (comp.front() < best_min) {
-        best_min = comp.front();
-        best = comp;
-      }
-    }
-    return best;
+    if (best_min == kNone) return kNone;
+    std::fill(in_current_scc_.begin(), in_current_scc_.end(), false);
+    for (const uint32_t v : best_) in_current_scc_[v] = true;
+    return best_min;
+  }
+
+  void Discover(uint32_t v, uint32_t* next_index) {
+    index_[v] = lowlink_[v] = (*next_index)++;
+    scc_stack_.push_back(v);
+    on_stack_[v] = true;
+    dfs_.push_back(Frame{v, 0});
   }
 
   bool Circuit(uint32_t v, uint32_t start) {
@@ -91,9 +126,11 @@ class JohnsonEnumerator {
     if (found) {
       Unblock(v);
     } else {
+      // B(w) may hold v more than once; Unblock skips vertices that are
+      // already unblocked, so duplicates cost a check, never a wrong result.
       for (const uint32_t w : adj_[v]) {
         if (!in_current_scc_[w] || w < start) continue;
-        b_sets_[w].insert(v);
+        b_lists_[w].push_back(v);
       }
     }
     stack_.pop_back();
@@ -101,12 +138,13 @@ class JohnsonEnumerator {
   }
 
   void Unblock(uint32_t v) {
+    // v is unblocked first, so no recursive call reaches B(v) while it is
+    // being walked; clearing keeps its capacity for the next fill.
     blocked_[v] = false;
-    auto pending = std::move(b_sets_[v]);
-    b_sets_[v].clear();
-    for (const uint32_t w : pending) {
+    for (const uint32_t w : b_lists_[v]) {
       if (blocked_[w]) Unblock(w);
     }
+    b_lists_[v].clear();
   }
 
   void EmitCycle() {
@@ -118,15 +156,27 @@ class JohnsonEnumerator {
     out_.cycles.push_back(std::move(cycle));
   }
 
+  struct Frame {
+    uint32_t node;
+    size_t child_pos;
+  };
+
   std::vector<std::vector<uint32_t>> adj_;
   std::vector<uint32_t> local_to_global_;
   uint64_t max_cycles_;
   uint32_t n_;
   std::vector<bool> blocked_;
-  std::vector<std::unordered_set<uint32_t>> b_sets_;
+  std::vector<std::vector<uint32_t>> b_lists_;
   std::vector<bool> in_current_scc_;
   std::vector<uint32_t> stack_;
   CycleEnumeration out_;
+  // LeastScc's Tarjan state, reused across start vertices.
+  std::vector<uint32_t> index_;
+  std::vector<uint32_t> lowlink_;
+  std::vector<bool> on_stack_;
+  std::vector<uint32_t> scc_stack_;
+  std::vector<Frame> dfs_;
+  std::vector<uint32_t> best_;
 };
 
 }  // namespace

@@ -74,15 +74,22 @@ void BreakCycles(const std::vector<std::vector<uint32_t>>& cycles,
                  AliveGraph* ag, std::vector<uint32_t>* aborted) {
   const size_t n = ag->num_nodes();
   std::vector<uint32_t> count(n, 0);
-  std::vector<std::vector<uint32_t>> tx_to_cycles(n);
+  for (const auto& cycle : cycles) {
+    for (const uint32_t tx : cycle) ++count[tx];
+  }
+  // tx -> the cycles through it, flattened: cycles_of[first[tx]..first[tx+1]).
+  std::vector<uint32_t> first(n + 1, 0);
+  for (size_t tx = 0; tx < n; ++tx) first[tx + 1] = first[tx] + count[tx];
+  std::vector<uint32_t> cycles_of(first[n]);
+  std::vector<uint32_t> cursor(first.begin(), first.end() - 1);
   for (uint32_t c = 0; c < cycles.size(); ++c) {
-    for (const uint32_t tx : cycles[c]) {
-      ++count[tx];
-      tx_to_cycles[tx].push_back(c);
-    }
+    for (const uint32_t tx : cycles[c]) cycles_of[cursor[tx]++] = c;
   }
 
-  // Max-heap keyed by (count desc, index asc) with lazy invalidation.
+  // Max-heap keyed by (count desc, index asc), one entry per tx. Counts only
+  // fall, so an entry's key bounds its tx's current count from above: a
+  // popped entry whose count moved is re-pushed with the current one, and
+  // the first up-to-date entry popped is the true maximum.
   using Entry = std::pair<uint32_t, uint32_t>;  // (count, tx)
   auto cmp = [](const Entry& a, const Entry& b) {
     if (a.first != b.first) return a.first < b.first;
@@ -99,21 +106,21 @@ void BreakCycles(const std::vector<std::vector<uint32_t>>& cycles,
   while (open_cycles > 0 && !heap.empty()) {
     const auto [heap_count, tx] = heap.top();
     heap.pop();
-    if (heap_count != count[tx] || count[tx] == 0) continue;  // Stale entry.
+    if (count[tx] == 0) continue;
+    if (heap_count != count[tx]) {
+      heap.push({count[tx], tx});
+      continue;
+    }
     // Abort tx: every open cycle through it is now broken.
     ag->Kill(tx);
     aborted->push_back(tx);
-    for (const uint32_t c : tx_to_cycles[tx]) {
+    for (uint32_t i = first[tx]; i < first[tx + 1]; ++i) {
+      const uint32_t c = cycles_of[i];
       if (!cycle_open[c]) continue;
       cycle_open[c] = false;
       --open_cycles;
       for (const uint32_t member : cycles[c]) {
-        if (count[member] > 0) {
-          --count[member];
-          if (member != tx && count[member] > 0) {
-            heap.push({count[member], member});
-          }
-        }
+        if (count[member] > 0) --count[member];
       }
     }
     count[tx] = 0;

@@ -3,9 +3,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
+#include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -63,13 +64,26 @@ class StateStore {
 /// wrote it. The validator's MVCC serializability check and the Fabric++
 /// fine-grained stale-read detection both compare against these versions.
 ///
-/// Thread-safety: none required — the simulation substrate is
-/// single-threaded (DESIGN.md §5); concurrency *semantics* (vanilla's
-/// coarse simulation/validation lock vs Fabric++'s lock-free version
-/// checks) are modeled in virtual time by fabric::PeerNode.
+/// A StateDb may sit on an immutable *genesis* layer (DESIGN.md §17): the
+/// workload's initial state, seeded once per process and shared read-only by
+/// every in-process (peer, channel). Reads check the instance's own entries,
+/// then the genesis; every mutation lands in the instance, and a delete of a
+/// genesis key is kept as a local tombstone. NumKeys, ForEach and
+/// Fingerprint see the merged view, so a layered database is
+/// indistinguishable from a flat one holding the same entries.
+///
+/// Thread-safety: const methods may run concurrently; a mutation needs
+/// exclusive access (each channel's state lives on one lane, DESIGN.md
+/// §16). A shared genesis is only ever read. Concurrency *semantics*
+/// (vanilla's coarse simulation/validation lock vs Fabric++'s lock-free
+/// version checks) are modeled in virtual time by node::PeerNode.
 class StateDb : public StateStore {
  public:
   StateDb() = default;
+
+  /// An empty layer over `genesis`, which must be fully seeded and is never
+  /// mutated through this instance.
+  explicit StateDb(std::shared_ptr<const StateDb> genesis);
 
   /// Reads a key. NotFound if the key was never written (reads of missing
   /// keys are recorded with kNilVersion by the TxContext, matching Fabric).
@@ -103,7 +117,7 @@ class StateDb : public StateStore {
   }
   void set_last_committed_block(uint64_t b) { last_committed_block_ = b; }
 
-  size_t NumKeys() const { return map_.size(); }
+  size_t NumKeys() const { return num_keys_; }
 
   /// Canonical digest of the full state: every (key, value, version) entry
   /// hashed in sorted key order, returned as a SHA-256 hex string. Two
@@ -117,7 +131,19 @@ class StateDb : public StateStore {
                                         const VersionedValue&)>& fn) const;
 
  private:
+  /// The merged-view entry for `key`, or null if absent or deleted.
+  const VersionedValue* Find(const std::string& key) const;
+  bool InGenesis(const std::string& key) const {
+    return genesis_ != nullptr && genesis_->Find(key) != nullptr;
+  }
+  void Put(const std::string& key, VersionedValue vv);
+  void Erase(const std::string& key);
+
   std::unordered_map<std::string, VersionedValue> map_;
+  std::shared_ptr<const StateDb> genesis_;
+  /// Genesis keys this instance deleted; disjoint from map_'s keys.
+  std::unordered_set<std::string> tombstones_;
+  size_t num_keys_ = 0;  ///< Size of the merged view.
   uint64_t last_committed_block_ = 0;
 };
 

@@ -2,7 +2,11 @@
 
 #include <cassert>
 
+#include "chaincode/builtin_chaincodes.h"
+#include "chaincode/tx_context.h"
+#include "common/rng.h"
 #include "common/strings.h"
+#include "workload/smallbank.h"
 
 namespace fabricpp::workload {
 
@@ -86,6 +90,30 @@ std::vector<const proto::ReadWriteSet*> AsPointers(
   out.reserve(sets.size());
   for (const proto::ReadWriteSet& s : sets) out.push_back(&s);
   return out;
+}
+
+std::vector<proto::ReadWriteSet> MakeSmallbankBatch(uint32_t n,
+                                                    uint64_t num_users,
+                                                    double zipf_s,
+                                                    uint64_t seed) {
+  SmallbankConfig config;
+  config.num_users = num_users;
+  config.zipf_s = zipf_s;
+  const SmallbankWorkload workload(config);
+  statedb::StateDb db;
+  workload.SeedState(&db);
+  const chaincode::SmallbankChaincode smallbank;
+  Rng rng(seed);
+  std::vector<proto::ReadWriteSet> sets;
+  sets.reserve(n);
+  while (sets.size() < n) {
+    chaincode::TxContext ctx(&db, /*snapshot_block=*/0,
+                             /*stale_check_enabled=*/false);
+    if (smallbank.Invoke(ctx, workload.NextArgs(rng)).ok()) {
+      sets.push_back(ctx.TakeRwSet());
+    }
+  }
+  return sets;
 }
 
 std::vector<proto::ReadWriteSet> PaperTable3Transactions() {

@@ -26,6 +26,15 @@ std::vector<proto::ReadWriteSet> MakeShiftedReadWriteSequence(uint32_t n,
 std::vector<proto::ReadWriteSet> MakeCycleSequence(uint32_t n,
                                                    uint32_t cycle_len);
 
+/// n Smallbank transactions (SmallbankConfig defaults apart from the user
+/// count and skew) simulated against the genesis state: the read/write sets
+/// a Smallbank orderer batches. At 10k users and Zipf 1.0 this is the
+/// hot-key regime where the reorderer's cycle budget trips.
+std::vector<proto::ReadWriteSet> MakeSmallbankBatch(uint32_t n,
+                                                    uint64_t num_users,
+                                                    double zipf_s,
+                                                    uint64_t seed);
+
 /// Borrow helper: pointer view over a sequence (what the reorderer takes).
 std::vector<const proto::ReadWriteSet*> AsPointers(
     const std::vector<proto::ReadWriteSet>& sets);

@@ -27,6 +27,15 @@ class Workload {
   /// identical state.
   virtual void SeedState(statedb::StateDb* db) const = 0;
 
+  /// SeedState into a fresh database, frozen for sharing: the genesis layer
+  /// every (peer, channel) of one process reads through (DESIGN.md §17).
+  /// Seeding takes no channel, so one genesis serves every channel.
+  std::shared_ptr<const statedb::StateDb> SeedGenesis() const {
+    auto genesis = std::make_shared<statedb::StateDb>();
+    SeedState(genesis.get());
+    return genesis;
+  }
+
   /// Generates the argument vector of the next proposal.
   virtual std::vector<std::string> NextArgs(Rng& rng) const = 0;
 

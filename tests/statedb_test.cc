@@ -3,9 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "chaincode/builtin_chaincodes.h"
 #include "chaincode/chaincode.h"
 #include "chaincode/tx_context.h"
+#include "common/rng.h"
 #include "ledger/ledger.h"
 #include "statedb/state_db.h"
 
@@ -83,6 +91,182 @@ TEST(StateDbTest, ApplyBlockAppliesWritesInOrderAndAdvancesHeight) {
   EXPECT_EQ(db.Get("b")->value, "9");
   EXPECT_FALSE(db.Get("c").ok());
   EXPECT_EQ(db.last_committed_block(), 3u);
+}
+
+// --- StateDb over a shared genesis layer ---
+
+using Entries = std::map<std::string, std::pair<std::string, Version>>;
+
+Entries Collect(const StateDb& db) {
+  Entries out;
+  db.ForEach([&](const std::string& key, const statedb::VersionedValue& vv) {
+    EXPECT_TRUE(out.emplace(key, std::make_pair(vv.value, vv.version)).second)
+        << "ForEach visited " << key << " twice";
+  });
+  return out;
+}
+
+/// The layered database must be indistinguishable from the flat one.
+void ExpectSameView(const StateDb& flat, const StateDb& layered,
+                    const std::vector<std::string>& keys,
+                    const std::string& where) {
+  for (const std::string& key : keys) {
+    const auto want = flat.Get(key);
+    const auto got = layered.Get(key);
+    ASSERT_EQ(got.ok(), want.ok()) << where << " key " << key;
+    if (want.ok()) {
+      EXPECT_EQ(got->value, want->value) << where << " key " << key;
+      EXPECT_EQ(got->version, want->version) << where << " key " << key;
+    }
+    EXPECT_EQ(layered.GetVersion(key), flat.GetVersion(key))
+        << where << " key " << key;
+  }
+  EXPECT_EQ(layered.NumKeys(), flat.NumKeys()) << where;
+  EXPECT_EQ(Collect(layered), Collect(flat)) << where;
+  EXPECT_EQ(layered.Fingerprint(), flat.Fingerprint()) << where;
+}
+
+std::shared_ptr<const StateDb> SeededGenesis(uint32_t num_keys) {
+  auto genesis = std::make_shared<StateDb>();
+  for (uint32_t i = 0; i < num_keys; ++i) {
+    genesis->SeedInitialState("k" + std::to_string(i), "g" + std::to_string(i));
+  }
+  return genesis;
+}
+
+TEST(StateDbTest, GenesisLayerMatchesFlatDatabaseUnderRandomWrites) {
+  // Keys k0..k19 are genesis keys, k20..k39 are fresh. A random sequence of
+  // seeds, per-tx writes and whole blocks overwrites and deletes genesis
+  // keys, re-writes them after a delete, and adds and drops fresh keys.
+  constexpr uint32_t kGenesisKeys = 20;
+  constexpr uint32_t kKeys = 40;
+  const auto genesis = SeededGenesis(kGenesisKeys);
+  StateDb flat;
+  genesis->ForEach([&](const std::string& key,
+                       const statedb::VersionedValue& vv) {
+    flat.SeedInitialState(key, vv.value);
+  });
+  StateDb layered(genesis);
+  std::vector<std::string> keys;
+  for (uint32_t i = 0; i < kKeys; ++i) keys.push_back("k" + std::to_string(i));
+  ExpectSameView(flat, layered, keys, "genesis");
+
+  Rng rng(0x6e6e5);
+  auto random_write = [&](uint32_t n) {
+    proto::WriteItem w;
+    w.key = keys[rng.NextUint64(kKeys)];
+    w.is_delete = rng.NextUint64(3) == 0;
+    if (!w.is_delete) w.value = "v" + std::to_string(n);
+    return w;
+  };
+  for (uint32_t step = 1; step <= 400; ++step) {
+    const std::string where = "step " + std::to_string(step);
+    switch (rng.NextUint64(3)) {
+      case 0: {
+        const std::string& key = keys[rng.NextUint64(kKeys)];
+        flat.SeedInitialState(key, "s" + std::to_string(step));
+        layered.SeedInitialState(key, "s" + std::to_string(step));
+        break;
+      }
+      case 1: {
+        const std::vector<proto::WriteItem> writes = {random_write(step),
+                                                      random_write(step + 1)};
+        flat.ApplyWrites(writes, Version{step, 0});
+        layered.ApplyWrites(writes, Version{step, 0});
+        break;
+      }
+      default: {
+        std::vector<statedb::VersionedWrite> block;
+        for (uint32_t tx = 0; tx < 4; ++tx) {
+          block.push_back({random_write(step + tx), Version{step, tx}});
+        }
+        ASSERT_TRUE(flat.ApplyBlock(block, step).ok());
+        ASSERT_TRUE(layered.ApplyBlock(block, step).ok());
+        break;
+      }
+    }
+    ExpectSameView(flat, layered, keys, where);
+  }
+}
+
+TEST(StateDbTest, LayersOnOneGenesisAreIsolated) {
+  const auto genesis = SeededGenesis(3);  // k0..k2
+  const std::string genesis_fingerprint = genesis->Fingerprint();
+  StateDb x(genesis);
+  StateDb y(genesis);
+  x.ApplyWrites({{"k0", "x0", false}, {"fresh", "x", false}}, Version{1, 0});
+  y.ApplyWrites({{"k1", "", true}}, Version{1, 0});
+  ASSERT_TRUE(y.ApplyBlock({{{"k2", "y2", false}, Version{2, 0}}}, 2).ok());
+
+  EXPECT_EQ(x.Get("k0")->value, "x0");
+  EXPECT_EQ(y.Get("k0")->value, "g0");
+  EXPECT_EQ(y.GetVersion("k0"), proto::kNilVersion);
+  EXPECT_FALSE(y.Get("fresh").ok());
+  EXPECT_EQ(x.Get("k1")->value, "g1");
+  EXPECT_FALSE(y.Get("k1").ok());
+  EXPECT_EQ(x.Get("k2")->value, "g2");
+  EXPECT_EQ(y.GetVersion("k2"), (Version{2, 0}));
+  EXPECT_EQ(x.NumKeys(), 4u);
+  EXPECT_EQ(y.NumKeys(), 2u);
+  EXPECT_EQ(x.last_committed_block(), 0u);
+  EXPECT_EQ(y.last_committed_block(), 2u);
+
+  EXPECT_EQ(genesis->Fingerprint(), genesis_fingerprint);
+  EXPECT_EQ(genesis->NumKeys(), 3u);
+  EXPECT_EQ(genesis->Get("k1")->value, "g1");
+  EXPECT_FALSE(genesis->Get("fresh").ok());
+}
+
+TEST(StateDbTest, SharedGenesisConcurrentLayers) {
+  // Each thread owns one layer and writes it while every thread reads the
+  // shared genesis, through its layer and directly. Run under TSan in CI.
+  constexpr uint32_t kGenesisKeys = 2000;
+  constexpr uint32_t kThreads = 4;
+  const auto genesis = SeededGenesis(kGenesisKeys);
+  auto replay = [](uint32_t t, StateDb* db) {
+    for (uint32_t i = 0; i < kGenesisKeys; ++i) {
+      const std::string key = "k" + std::to_string((i * 7 + t) % kGenesisKeys);
+      const auto seen = db->Get(key);
+      const std::string next =
+          (seen.ok() ? seen->value : std::string("none")) + "+" +
+          std::to_string(t);
+      std::vector<statedb::VersionedWrite> block = {
+          {{key, next, false}, Version{i + 1, 0}},
+          {{"t" + std::to_string(t) + "-" + std::to_string(i), "x", false},
+           Version{i + 1, 1}}};
+      if (i % 5 == t) {
+        block.push_back(
+            {{"k" + std::to_string(i), "", true}, Version{i + 1, 2}});
+      }
+      (void)db->ApplyBlock(block, i + 1);
+    }
+  };
+
+  std::vector<StateDb> layers(kThreads, StateDb(genesis));
+  std::vector<uint32_t> genesis_misses(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      replay(t, &layers[t]);
+      for (uint32_t i = 0; i < kGenesisKeys; ++i) {
+        if (!genesis->Get("k" + std::to_string(i)).ok()) ++genesis_misses[t];
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(genesis_misses[t], 0u) << "thread " << t;
+    StateDb flat;
+    genesis->ForEach([&](const std::string& key,
+                         const statedb::VersionedValue& vv) {
+      flat.SeedInitialState(key, vv.value);
+    });
+    replay(t, &flat);
+    EXPECT_EQ(layers[t].NumKeys(), flat.NumKeys()) << "thread " << t;
+    EXPECT_EQ(layers[t].Fingerprint(), flat.Fingerprint()) << "thread " << t;
+  }
+  EXPECT_EQ(genesis->NumKeys(), kGenesisKeys);
 }
 
 // --- Ledger ---

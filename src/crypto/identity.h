@@ -46,7 +46,7 @@ class Identity {
 
  private:
   std::string name_;
-  Bytes secret_key_;
+  HmacSha256Key key_;
 };
 
 }  // namespace fabricpp::crypto

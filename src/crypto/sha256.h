@@ -18,6 +18,10 @@ using Digest = std::array<uint8_t, 32>;
 ///
 /// Used for: transaction ids, block data hashes (via the Merkle tree), the
 /// ledger hash chain, and as the compression function of HMAC signatures.
+///
+/// The compression runs on the x86 SHA extensions when the CPU has them and
+/// on portable C++ otherwise (DESIGN.md §18); both give identical digests.
+/// A Sha256 is a plain value: copying one mid-stream forks the hash.
 class Sha256 {
  public:
   Sha256() { Reset(); }
@@ -37,7 +41,8 @@ class Sha256 {
   static Digest Hash(const Bytes& b) { return Hash(b.data(), b.size()); }
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
+  /// Compresses `count` 64-byte blocks into `state`.
+  static void Compress(uint32_t state[8], const uint8_t* blocks, size_t count);
 
   uint32_t state_[8];
   uint64_t bit_count_;

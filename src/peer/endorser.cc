@@ -6,12 +6,8 @@ Bytes EndorsementPayload(const std::string& channel,
                          const std::string& chaincode,
                          const std::string& policy_id,
                          const proto::ReadWriteSet& rwset) {
-  proto::Transaction stub;
-  stub.channel = channel;
-  stub.chaincode = chaincode;
-  stub.policy_id = policy_id;
-  stub.rwset = rwset;
-  return stub.SignedPayload();
+  return proto::Transaction::SignedPayload(channel, chaincode, policy_id,
+                                          rwset);
 }
 
 Endorser::Endorser(std::string peer_name, std::string org,

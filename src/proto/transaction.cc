@@ -75,6 +75,13 @@ bool IsAbort(TxValidationCode code) {
 }
 
 Bytes Transaction::SignedPayload() const {
+  return SignedPayload(channel, chaincode, policy_id, rwset);
+}
+
+Bytes Transaction::SignedPayload(std::string_view channel,
+                                 std::string_view chaincode,
+                                 std::string_view policy_id,
+                                 const ReadWriteSet& rwset) {
   Bytes out;
   ByteWriter w(&out);
   w.PutString(channel);

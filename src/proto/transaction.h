@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
@@ -81,6 +82,12 @@ struct Transaction {
   /// write set (Appendix A.3.1's malicious example) invalidates every honest
   /// endorser signature because validators recompute this payload.
   Bytes SignedPayload() const;
+  /// The same bytes from the four signed fields alone: endorsers sign, and
+  /// validators check, without building a Transaction around the rwset.
+  static Bytes SignedPayload(std::string_view channel,
+                             std::string_view chaincode,
+                             std::string_view policy_id,
+                             const ReadWriteSet& rwset);
 
   /// Computes and assigns tx_id from the content.
   void ComputeTxId(const Proposal& proposal);

@@ -100,6 +100,23 @@ TEST_F(PeerFixture, EndorseProducesEffectsAndSignature) {
       response->endorsement.signature));
 }
 
+TEST_F(PeerFixture, EndorsementPayloadMatchesTransactionSignedPayload) {
+  const auto response =
+      endorser_a_.Endorse(TransferProposal("30"), "AND(A,B)", db_, false);
+  ASSERT_TRUE(response.ok());
+  proto::Transaction tx;
+  tx.tx_id = "not-signed";
+  tx.client = "client";
+  tx.channel = "ch0";
+  tx.chaincode = "asset_transfer";
+  tx.policy_id = "AND(A,B)";
+  tx.rwset = response->rwset;
+  tx.endorsements.push_back(response->endorsement);
+  EXPECT_EQ(EndorsementPayload(tx.channel, tx.chaincode, tx.policy_id,
+                               tx.rwset),
+            tx.SignedPayload());
+}
+
 TEST_F(PeerFixture, EndorsersAgreeOnIdenticalState) {
   const proto::Proposal proposal = TransferProposal("30");
   const auto ra = endorser_a_.Endorse(proposal, "AND(A,B)", db_, false);

@@ -3,18 +3,17 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "chaincode/chaincode.h"
 #include "common/thread_pool.h"
 #include "fabric/config.h"
 #include "fabric/metrics.h"
+#include "fabric/node_slice.h"
 #include "fabric/raft_consensus.h"
 #include "node/client_node.h"
 #include "node/consensus.h"
 #include "node/local_mesh.h"
-#include "node/node_context.h"
 #include "node/orderer_node.h"
 #include "node/peer_node.h"
 #include "peer/policy.h"
@@ -56,14 +55,15 @@ using ClientNode = node::ClientNode;
 ///    orderer and peers shard their pipelines across per-channel lanes
 ///    (FabricConfig::channel_lanes, DESIGN.md §16).
 ///
-/// FabricNetwork implements node::NodeDirectory — the only view the nodes
-/// have of it.
-class FabricNetwork : public node::NodeDirectory {
+/// The topology itself is built by NodeSlice (fabric/node_slice.h), which
+/// is also the node::NodeDirectory the nodes see; FabricNetwork adds the
+/// runtime, the in-process mesh, Raft and the simulation's fault surface.
+class FabricNetwork {
  public:
   /// Builds the network. `workload` seeds each channel's initial state and
   /// generates proposal arguments; it must outlive the network.
   FabricNetwork(FabricConfig config, const workload::Workload* workload);
-  ~FabricNetwork() override;
+  ~FabricNetwork();
 
   FabricNetwork(const FabricNetwork&) = delete;
   FabricNetwork& operator=(const FabricNetwork&) = delete;
@@ -123,85 +123,79 @@ class FabricNetwork : public node::NodeDirectory {
   Metrics& metrics() { return metrics_; }
   const FabricConfig& config() const { return config_; }
   const workload::Workload* workload() const { return workload_; }
-  const chaincode::ChaincodeRegistry& registry() const { return *registry_; }
-  const peer::PolicyRegistry& policies() const { return policies_; }
+  const chaincode::ChaincodeRegistry& registry() const {
+    return slice_.registry();
+  }
+  const peer::PolicyRegistry& policies() const { return slice_.policies(); }
   /// The shared client machine's CPU (first shard under the thread
   /// runtime's client sharding).
-  runtime::Executor& client_cpu() { return *client_cpus_[0]; }
+  runtime::Executor& client_cpu() { return slice_.client_cpu(); }
   runtime::NodeId client_machine_node() const {
-    return client_endpoints_[0]->id();
+    return slice_.client_endpoint().id();
   }
 
   /// Shared pool running the validators' real signature-verification work
   /// (null when validator_workers == 1, and under the thread runtime,
   /// where each peer's validator owns a pool instead). Workers accelerate
   /// wall-clock crypto only — never virtual time or validation outcomes.
-  ThreadPool* validator_pool() { return validator_pool_; }
+  ThreadPool* validator_pool() {
+    return SharedPool(runtime::PoolKind::kValidator, config_.validator_workers);
+  }
 
   /// Pool running the orderer's real reordering work (null when
   /// reorder_workers == 1). Separate from validator_pool: ParallelFor is
   /// not reentrant, and the validator may be mid-fan-out on the same host
   /// thread's call stack when a reorder pass runs. Same determinism
   /// contract: wall-clock acceleration only.
-  ThreadPool* reorder_pool() { return reorder_pool_; }
+  ThreadPool* reorder_pool() {
+    return SharedPool(runtime::PoolKind::kReorder, config_.reorder_workers);
+  }
 
   /// Pool running the peers' real commit-stage wave fan-out (null when
   /// commit_workers == 1). Its own kind for the same reason as
   /// reorder_pool: the verify stage's fan-out has finished by the time the
   /// commit stage runs, but keeping the users on distinct pools makes the
   /// single-user ParallelFor contract hold by construction.
-  ThreadPool* commit_pool() { return commit_pool_; }
-
-  // --- node::NodeDirectory ---
-  size_t num_peers() const override { return peers_.size(); }
-  PeerNode& peer(uint32_t i) override { return *peers_[i]; }
-  const PeerNode& peer(uint32_t i) const { return *peers_[i]; }
-  OrdererNode& orderer() override { return *orderer_; }
-  size_t num_clients() const override { return clients_.size(); }
-  ClientNode& client(uint32_t i) override { return *clients_[i]; }
-  ClientNode* FindClient(const std::string& name) override;
-  std::vector<uint32_t> EndorsersFor(uint64_t proposal_id) override;
-  const std::string& default_policy_id() const override {
-    return default_policy_id_;
+  ThreadPool* commit_pool() {
+    return SharedPool(runtime::PoolKind::kCommit, config_.commit_workers);
   }
-  bool IsObserver(const PeerNode& peer) const override {
-    return peer.index() == 0;
+
+  size_t num_peers() const { return slice_.num_peers(); }
+  PeerNode& peer(uint32_t i) { return slice_.peer(i); }
+  const PeerNode& peer(uint32_t i) const { return slice_.peer(i); }
+  OrdererNode& orderer() { return slice_.orderer(); }
+  size_t num_clients() const { return slice_.num_clients(); }
+  ClientNode& client(uint32_t i) { return slice_.client(i); }
+  const std::string& default_policy_id() const {
+    return slice_.default_policy_id();
   }
 
  private:
   /// Guards the sim-only surface: aborts (with `what` in the log) when the
   /// network runs on the thread runtime.
   runtime::SimRuntime& RequireSim(const char* what) const;
+  /// The orderer's Raft backend (nullptr: solo), built for the slice right
+  /// after the orderer.
+  node::ConsensusService* MakeConsensus(node::OrdererNode& orderer);
+  /// The pool of `kind` the sim runtime shares among the nodes that
+  /// requested it (on threads each node owns its pools: null).
+  ThreadPool* SharedPool(runtime::PoolKind kind, uint32_t workers) {
+    return sim_ == nullptr ? nullptr : sim_->RequestPool(kind, workers);
+  }
 
   FabricConfig config_;
   const workload::Workload* workload_;
   /// Owns the execution substrate; nodes are destroyed before it.
   std::unique_ptr<runtime::Runtime> runtime_;
   /// Mode discriminators into runtime_ (exactly one is non-null).
-  runtime::SimRuntime* sim_ = nullptr;
-  runtime::ThreadRuntime* thread_ = nullptr;
+  runtime::SimRuntime* sim_;
+  runtime::ThreadRuntime* thread_;
   Metrics metrics_;
-  std::unique_ptr<chaincode::ChaincodeRegistry> registry_;
-  peer::PolicyRegistry policies_;
-  std::string default_policy_id_;
-  /// The client machine's endpoint(s). One under sim; thread_client_shards
-  /// of them under the thread runtime, clients assigned round-robin.
-  std::vector<runtime::Endpoint*> client_endpoints_;
-  std::vector<runtime::Executor*> client_cpus_;
+  std::unique_ptr<RaftConsensus> raft_consensus_;
   /// The in-process message fabric every node send goes through; must
   /// outlive the nodes, which hold it via NodeContext.
-  std::unique_ptr<node::LocalMesh> mesh_;
-  /// Borrowed from runtime_ (sim mode only, where the pools are shared).
-  ThreadPool* validator_pool_ = nullptr;
-  ThreadPool* reorder_pool_ = nullptr;
-  ThreadPool* commit_pool_ = nullptr;
-  std::vector<std::unique_ptr<node::PeerNode>> peers_;
-  std::unique_ptr<node::OrdererNode> orderer_;
-  node::SoloConsensus solo_consensus_;
-  std::unique_ptr<RaftConsensus> raft_consensus_;
-  std::vector<std::unique_ptr<node::ClientNode>> clients_;
-  std::unordered_map<std::string, node::ClientNode*> clients_by_name_;
-  bool ran_ = false;
+  node::LocalMesh mesh_;
+  NodeSlice slice_;
 };
 
 }  // namespace fabricpp::fabric

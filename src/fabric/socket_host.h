@@ -1,25 +1,19 @@
 #ifndef FABRICPP_FABRIC_SOCKET_HOST_H_
 #define FABRICPP_FABRIC_SOCKET_HOST_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "chaincode/chaincode.h"
 #include "fabric/config.h"
 #include "fabric/metrics.h"
-#include "node/client_node.h"
-#include "node/consensus.h"
+#include "fabric/node_slice.h"
 #include "node/mesh.h"
-#include "node/node_context.h"
-#include "node/orderer_node.h"
 #include "node/peer_node.h"
-#include "peer/policy.h"
 #include "proto/wire_format.h"
 #include "runtime/runtime.h"
 #include "runtime/socket_transport.h"
@@ -43,24 +37,23 @@ Result<SocketRole> ParseSocketRole(const std::string& text);
 
 /// The multi-process composition root (DESIGN.md §15): one SocketHost per
 /// process hosts its slice of the network on a ThreadRuntime and stitches
-/// the slices together over TCP. It is simultaneously the
-/// node::NodeDirectory its local nodes look each other up in (remote
-/// lookups abort — node code only reaches concrete nodes through
-/// Mesh-delivered tasks, which by construction run where the node lives)
-/// and the node::Mesh that encodes every cross-node send into a wire frame
-/// (proto/wire_format.h) and ships it through runtime::SocketTransport.
+/// the slices together over TCP. NodeSlice builds the slice and is the
+/// node::NodeDirectory its nodes look each other up in; SocketHost is the
+/// node::Mesh that encodes every cross-node send into a wire frame
+/// (proto/wire_format.h), ships it through runtime::SocketTransport, and
+/// posts each received frame to the lane of the channel it carries.
 ///
 /// Topology: the orderer listens and dials nobody; each peer listens and
 /// dials the orderer; the client host dials every peer and the orderer.
 /// Exactly one connection per process pair, both directions multiplexed.
 ///
-/// Measurement: the client host owns the run. RunClients mirrors the
-/// thread-mode FabricNetwork::RunFor protocol (reset epoch, fire, sleep,
-/// quiesce, report); outcome frames from the observer peer and the orderer
-/// resolve proposals in this host's Metrics, so the RunReport has the same
-/// shape and semantics as the in-process modes. Peer/orderer hosts run
+/// Measurement: the client host owns the run. RunClients is the measured
+/// run of thread-mode FabricNetwork::RunFor (NodeSlice::RunMeasured);
+/// outcome frames from the observer peer and the orderer resolve proposals
+/// in this host's Metrics, so the RunReport has the same shape and
+/// semantics as the in-process modes. Peer/orderer hosts run
 /// until a kShutdown frame (or a signal) stops them.
-class SocketHost : public node::NodeDirectory, public node::Mesh {
+class SocketHost : public node::Mesh {
  public:
   /// `workload` must outlive the host. The config must validate with
   /// runtime_mode="socket" (peer_addresses / orderer_address filled in).
@@ -71,8 +64,8 @@ class SocketHost : public node::NodeDirectory, public node::Mesh {
   SocketHost(const SocketHost&) = delete;
   SocketHost& operator=(const SocketHost&) = delete;
 
-  /// Builds the local nodes, binds the listener (peer/orderer roles) and
-  /// starts dialing. Returns the first hard error (e.g. bind failure).
+  /// Binds the listener (peer/orderer roles) and starts dialing. Returns
+  /// the first hard error (e.g. bind failure).
   Status Start();
 
   /// Port this host's listener bound; 0 for the (dial-only) client host.
@@ -109,25 +102,16 @@ class SocketHost : public node::NodeDirectory, public node::Mesh {
   void Stop();
 
   Metrics& metrics() { return metrics_; }
-  const FabricConfig& config() const { return config_; }
-  const SocketRole& role() const { return role_; }
   runtime::SocketTransport& transport() { return *transport_; }
+  /// The nodes this process hosts, as the directory they see.
+  NodeSlice& slice() { return slice_; }
   /// The locally hosted peer (peer role only; else nullptr).
-  node::PeerNode* local_peer() { return peer_.get(); }
-
-  // --- node::NodeDirectory ---
-  size_t num_peers() const override;
-  node::PeerNode& peer(uint32_t index) override;
-  node::OrdererNode& orderer() override;
-  size_t num_clients() const override;
-  node::ClientNode& client(uint32_t index) override;
-  node::ClientNode* FindClient(const std::string& name) override;
-  std::vector<uint32_t> EndorsersFor(uint64_t proposal_id) override;
-  const std::string& default_policy_id() const override {
-    return default_policy_id_;
+  node::PeerNode* local_peer() {
+    return slice_.peers().empty() ? nullptr : slice_.peers()[0].get();
   }
-  bool IsObserver(const node::PeerNode& peer) const override {
-    return peer.index() == 0;
+  size_t num_peers() const { return slice_.num_peers(); }
+  const std::string& default_policy_id() const {
+    return slice_.default_policy_id();
   }
 
   // --- node::Mesh (encode + ship over TCP) ---
@@ -166,24 +150,27 @@ class SocketHost : public node::NodeDirectory, public node::Mesh {
             const Bytes& payload, uint64_t modeled_bytes);
 
   /// Transport frame dispatch (event-loop thread): decode the payload and
-  /// post the typed handler onto the target node's execution context.
-  void HandleFrame(const runtime::SocketPeerKey& from, proto::Frame frame);
+  /// post the typed handler onto the target node's execution context — for
+  /// a peer or the orderer, the lane of the frame's channel.
+  void HandleFrame(proto::Frame frame);
   void HandleClientsFrame(proto::Frame& frame);
-  void HandlePeerFrame(const runtime::SocketPeerKey& from,
-                       proto::Frame& frame);
+  void HandlePeerFrame(proto::Frame& frame);
   void HandleOrdererFrame(proto::Frame& frame);
 
-  /// Peer role: periodic anti-entropy — a catch-up probe to the orderer
-  /// every peer_fetch_retry_interval, so a block lost in flight (or a tail
-  /// block with no successor to reveal the gap) is always re-fetched.
+  /// The routes this role dials, which WaitForCluster waits on: the client
+  /// host dials every peer and the orderer, a peer the orderer.
+  std::vector<std::pair<runtime::SocketPeerKey, std::string>> Dials() const;
+
+  /// Peer role: periodic anti-entropy — every peer_fetch_retry_interval,
+  /// a catch-up probe to the orderer per channel, so a block lost in
+  /// flight (or a tail block with no successor to reveal the gap) is
+  /// always re-fetched.
   void ArmAntiEntropy();
+  /// Peer role: appends each remaining channel's height, tip, fingerprint
+  /// and key count to `report`, hopping from lane to lane, then ships it to
+  /// the client host.
+  void ReportState(proto::StateReportMsg report);
 
-  /// The peer roster's names ("A1", "B2", ...), derivable from config alone
-  /// — every host prewarms its verifier caches with them, so endorsements
-  /// signed in one process verify in another.
-  std::vector<std::string> PeerNames() const;
-
-  runtime::SocketPeerKey SelfKey() const;
   static runtime::SocketPeerKey OrdererKey() {
     return {proto::NodeRole::kOrderer, 0};
   }
@@ -195,32 +182,16 @@ class SocketHost : public node::NodeDirectory, public node::Mesh {
   }
 
   FabricConfig config_;
-  const workload::Workload* workload_;
   SocketRole role_;
   Metrics metrics_;
-  std::unique_ptr<chaincode::ChaincodeRegistry> registry_;
-  peer::PolicyRegistry policies_;
-  std::string default_policy_id_;
   std::unique_ptr<runtime::ThreadRuntime> runtime_;
+  NodeSlice slice_;
   std::unique_ptr<runtime::SocketTransport> transport_;
-
-  // Local slice (exactly one populated, by role).
-  std::unique_ptr<node::PeerNode> peer_;
-  std::unique_ptr<node::OrdererNode> orderer_;
-  node::SoloConsensus solo_consensus_;
-  std::vector<runtime::Endpoint*> client_endpoints_;
-  std::vector<runtime::Executor*> client_cpus_;
-  std::vector<std::unique_ptr<node::ClientNode>> clients_;
-  std::unordered_map<std::string, node::ClientNode*> clients_by_name_;
 
   std::mutex mu_;
   std::condition_variable cv_;
   bool shutdown_received_ = false;
   bool stopped_ = false;
-  /// Set once the measured run ended: late frames for clients are ignored
-  /// instead of posted into the shut-down runtime.
-  std::atomic<bool> run_done_{false};
-  bool ran_ = false;
   /// State reports keyed by (token, peer_index) — CollectPeerReports waits
   /// here for each polling round to complete.
   uint64_t next_state_token_ = 1;

@@ -246,16 +246,4 @@ bool ParseClientName(const std::string& name, uint32_t* channel,
   return true;
 }
 
-std::vector<uint32_t> EndorserIndicesFor(uint32_t num_orgs,
-                                         uint32_t peers_per_org,
-                                         uint64_t key) {
-  std::vector<uint32_t> endorsers;
-  endorsers.reserve(num_orgs);
-  for (uint32_t o = 0; o < num_orgs; ++o) {
-    const uint32_t p = static_cast<uint32_t>(key % peers_per_org);
-    endorsers.push_back(o * peers_per_org + p);
-  }
-  return endorsers;
-}
-
 }  // namespace fabricpp::node

@@ -111,13 +111,6 @@ std::string ClientNameFor(uint32_t channel, uint32_t index_in_channel);
 bool ParseClientName(const std::string& name, uint32_t* channel,
                      uint32_t* index_in_channel);
 
-/// The deterministic endorser choice shared by every composition root
-/// (paper §2.2.1: one endorsing peer per org, rotated by proposal id so
-/// load spreads): org o contributes peer o * peers_per_org + key %
-/// peers_per_org.
-std::vector<uint32_t> EndorserIndicesFor(uint32_t num_orgs,
-                                         uint32_t peers_per_org, uint64_t key);
-
 }  // namespace fabricpp::node
 
 #endif  // FABRICPP_NODE_MESH_H_

@@ -48,7 +48,7 @@ class NodeDirectory {
 
   /// The peers a proposal with the given id is endorsed by: one peer per
   /// org, rotated by proposal id for load balance. Indices, not pointers —
-  /// an endorser may live in another process (see EndorserIndicesFor).
+  /// an endorser may live in another process.
   virtual std::vector<uint32_t> EndorsersFor(uint64_t proposal_id) = 0;
 
   /// Endorsement policy id used by all transactions.

@@ -15,7 +15,9 @@
 #include <vector>
 
 #include "fabric/config.h"
+#include "fabric/node_slice.h"
 #include "fabric/socket_host.h"
+#include "node/mesh.h"
 #include "proto/wire_format.h"
 #include "runtime/socket_transport.h"
 #include "sim/time.h"
@@ -252,11 +254,15 @@ TEST(SocketHostTest, ParseSocketRole) {
   EXPECT_FALSE(ParseSocketRole("").ok());
 }
 
-TEST(SocketHostTest, SmallbankClusterConverges) {
+// Runs a 2-peer SmallBank cluster over loopback and asserts that every
+// channel converges on every peer. With two channels each peer and the
+// orderer run one lane per channel, so this also checks that frames,
+// catch-up probes and state reads land on the channel's own lane.
+void ExpectSmallbankClusterConverges(uint32_t num_channels) {
   FabricConfig config = FabricConfig::FabricPlusPlus();
   config.num_orgs = 2;
   config.peers_per_org = 1;
-  config.num_channels = 1;
+  config.num_channels = num_channels;
   config.clients_per_channel = 4;
   config.client_fire_rate_tps = 50;
   config.block.max_transactions = 32;
@@ -273,12 +279,16 @@ TEST(SocketHostTest, SmallbankClusterConverges) {
 
   const auto reports = cluster.clients().CollectPeerReports(20000);
   ASSERT_EQ(reports.size(), 2u);
-  ASSERT_EQ(reports[0].channels.size(), 1u);
-  ASSERT_EQ(reports[1].channels.size(), 1u);
   // Convergence: identical height, tip hash, state fingerprint, key count
   // on every peer — the cross-process "no MVCC anomalies" assertion.
-  EXPECT_GT(reports[0].channels[0].height, 1u);
-  EXPECT_TRUE(reports[0].channels[0] == reports[1].channels[0]);
+  for (const auto& peer_report : reports) {
+    ASSERT_EQ(peer_report.channels.size(), num_channels);
+  }
+  for (uint32_t c = 0; c < num_channels; ++c) {
+    SCOPED_TRACE(c);
+    EXPECT_GT(reports[0].channels[c].height, 1u);
+    EXPECT_TRUE(reports[0].channels[c] == reports[1].channels[c]);
+  }
 
   // The real framed bytes were measured and diverge from the modeled cost.
   const auto transport = cluster.clients().metrics().transport_counters();
@@ -287,6 +297,70 @@ TEST(SocketHostTest, SmallbankClusterConverges) {
   EXPECT_GT(transport.modeled_bytes, 0u);
   EXPECT_GT(transport.socket_frames_sent, 0u);
   EXPECT_EQ(transport.socket_decode_errors, 0u);
+}
+
+TEST(SocketHostTest, SmallbankClusterConverges) {
+  ExpectSmallbankClusterConverges(1);
+}
+
+TEST(SocketHostTest, SmallbankClusterConvergesOnTwoChannels) {
+  ExpectSmallbankClusterConverges(2);
+}
+
+// The directory contract of a socket slice: counts come from the config on
+// every slice, and a lookup of a node another process hosts aborts, naming
+// the slice. No host is started — building the slice is enough.
+TEST(SocketHostDeathTest, SliceDirectoryServesOnlyLocalNodes) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  FabricConfig config = FabricConfig::FabricPlusPlus();
+  config.num_orgs = 2;
+  config.peers_per_org = 1;
+  config.num_channels = 2;
+  config.clients_per_channel = 3;
+  config.runtime_mode = "socket";
+  config.peer_addresses.assign(2, "127.0.0.1:0");
+  config.orderer_address = "127.0.0.1:0";
+
+  workload::SmallbankConfig wl;
+  wl.num_users = 50;
+  workload::SmallbankWorkload workload(wl);
+
+  for (const char* text : {"clients", "orderer", "peer:1"}) {
+    SCOPED_TRACE(text);
+    const Result<SocketRole> role = ParseSocketRole(text);
+    ASSERT_TRUE(role.ok());
+    SocketHost host(config, &workload, *role);
+    NodeSlice& slice = host.slice();
+    EXPECT_EQ(slice.num_peers(), 2u);
+    EXPECT_EQ(slice.num_clients(), 6u);
+    EXPECT_EQ(slice.default_policy_id(), "AND(all-orgs)");
+  }
+
+  SocketHost peer_host(config, &workload, {SocketRole::Kind::kPeer, 1});
+  NodeSlice& peer_slice = peer_host.slice();
+  EXPECT_EQ(peer_slice.peer(1).name(), "B1");
+  EXPECT_EQ(peer_slice.FindClient(node::ClientNameFor(0, 0)), nullptr);
+  EXPECT_DEATH(peer_slice.peer(0), "peer 0 is not hosted.*peer:1");
+  EXPECT_DEATH(peer_slice.orderer(), "orderer is not hosted.*peer:1");
+  EXPECT_DEATH(peer_slice.client(0), "client 0 is not hosted.*peer:1");
+
+  SocketHost orderer_host(config, &workload, {SocketRole::Kind::kOrderer});
+  NodeSlice& orderer_slice = orderer_host.slice();
+  EXPECT_EQ(orderer_slice.FindClient(node::ClientNameFor(1, 2)), nullptr);
+  EXPECT_DEATH(orderer_slice.peer(1), "peer 1 is not hosted.*orderer");
+  EXPECT_DEATH(orderer_slice.client(5), "client 5 is not hosted.*orderer");
+
+  // A peer index past the roster (including one whose successor wraps)
+  // is refused at construction.
+  for (const uint32_t index : {2u, UINT32_MAX}) {
+    const SocketRole bad{SocketRole::Kind::kPeer, index};
+    EXPECT_DEATH(SocketHost(config, &workload, bad), "out of range");
+  }
+
+  SocketHost clients_host(config, &workload, {SocketRole::Kind::kClients});
+  NodeSlice& clients_slice = clients_host.slice();
+  EXPECT_NE(clients_slice.FindClient(node::ClientNameFor(1, 2)), nullptr);
+  EXPECT_DEATH(clients_slice.orderer(), "orderer is not hosted.*clients");
 }
 
 }  // namespace

@@ -79,11 +79,6 @@ Status FabricConfig::Validate() const {
         "reorder_workers must be in [1, 256]: it counts host threads "
         "(including the calling one) running the real reordering work");
   }
-  if (commit_workers == 0 || commit_workers > 256) {
-    return Status::InvalidArgument(
-        "commit_workers must be in [1, 256]: it counts host threads "
-        "(including the committing one) running the per-wave MVCC checks");
-  }
   if (ordering_pipeline_depth == 0 || ordering_pipeline_depth > 64) {
     return Status::InvalidArgument(
         "ordering_pipeline_depth must be in [1, 64]: it bounds the batches "

@@ -171,28 +171,6 @@ struct FabricConfig {
   /// (order, aborted set, stats) is byte-identical for any value. Must be
   /// in [1, 256].
   uint32_t reorder_workers = 1;
-  /// Host threads running a peer's *real* commit-stage work (the per-wave
-  /// MVCC version checks of the dependency-aware commit, DESIGN.md §13),
-  /// counting the committing thread: 1 = the sequential commit loop,
-  /// byte-identical to every earlier build; N = conflict-free waves fan out
-  /// N-wide on a PoolKind::kCommit ThreadPool. Same contract as
-  /// validator_workers: wall-clock acceleration only — verdicts, versioned
-  /// state and every simulation output are byte-identical for any value.
-  /// Must be in [1, 256].
-  uint32_t commit_workers = 1;
-  /// Whether the orderer attaches the commit-stage wave schedule to each
-  /// block it cuts (proto::Block::commit_waves; see src/node/wire.h).
-  /// Default off: the schedule enlarges the block's wire bytes, which feeds
-  /// the modeled network/append costs, so turning it on changes virtual
-  /// timings (deterministically). Peers without a shipped schedule
-  /// recompute it locally when commit_workers > 1.
-  bool ship_commit_schedule = false;
-  /// Whether a peer re-validates a shipped schedule against the rwsets
-  /// before using it (ordering::ValidateCommitWaves — the untrusted-orderer
-  /// posture; an invalid schedule is discarded and recomputed). Turning it
-  /// off skips the O(total-rwset) check for deployments that trust their
-  /// ordering service. Never affects verdicts either way.
-  bool verify_commit_schedule = true;
   /// Bound on orderer batches simultaneously inside the reorder stage per
   /// channel (the single-producer pipeline between block cutting and
   /// consensus submission). 1 reproduces the strictly serial seed behavior:

@@ -82,20 +82,14 @@ std::string TransportCounters::ToString() const {
 
 std::string ValidationWallClock::ToString() const {
   const double blocks_d = blocks == 0 ? 1.0 : static_cast<double>(blocks);
-  const double waves_d =
-      commit_waves == 0 ? 1.0 : static_cast<double>(commit_waves);
   return StrFormat(
       "blocks=%llu verify_total=%.2fms commit_total=%.2fms "
-      "verify_avg=%.1fus commit_avg=%.1fus waves=%llu wave_avg=%.1fus "
-      "wave_max=%.1fus",
+      "verify_avg=%.1fus commit_avg=%.1fus",
       static_cast<unsigned long long>(blocks),
       static_cast<double>(verify_ns) / 1e6,
       static_cast<double>(commit_ns) / 1e6,
       static_cast<double>(verify_ns) / 1e3 / blocks_d,
-      static_cast<double>(commit_ns) / 1e3 / blocks_d,
-      static_cast<unsigned long long>(commit_waves),
-      static_cast<double>(commit_wave_ns) / 1e3 / waves_d,
-      static_cast<double>(commit_wave_max_ns) / 1e3);
+      static_cast<double>(commit_ns) / 1e3 / blocks_d);
 }
 
 std::string ReorderWallClock::ToString() const {
@@ -110,26 +104,6 @@ std::string ReorderWallClock::ToString() const {
       static_cast<double>(enumerate_us) / 1e3,
       static_cast<double>(break_us) / 1e3,
       static_cast<double>(schedule_us) / 1e3);
-}
-
-std::string StorageCounters::ToString() const {
-  return StrFormat(
-      "flushes=%llu compactions=%llu compacted=%.2fMB orphans_removed=%llu "
-      "checkpoints=%llu recovered_from=%llu cache_hits=%llu "
-      "cache_misses=%llu hit_rate=%.1f%%",
-      static_cast<unsigned long long>(flushes),
-      static_cast<unsigned long long>(compactions),
-      static_cast<double>(compaction_bytes_written) / 1e6,
-      static_cast<unsigned long long>(orphaned_tables_removed),
-      static_cast<unsigned long long>(checkpoints_written),
-      static_cast<unsigned long long>(recovered_checkpoint_height),
-      static_cast<unsigned long long>(block_cache_hits),
-      static_cast<unsigned long long>(block_cache_misses),
-      100.0 * static_cast<double>(block_cache_hits) /
-          static_cast<double>(
-              block_cache_hits + block_cache_misses == 0
-                  ? 1
-                  : block_cache_hits + block_cache_misses));
 }
 
 std::string ProposalKey(const std::string& client, uint64_t proposal_id) {

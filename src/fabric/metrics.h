@@ -1,7 +1,6 @@
 #ifndef FABRICPP_FABRIC_METRICS_H_
 #define FABRICPP_FABRIC_METRICS_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -128,14 +127,7 @@ struct RunReport {
 struct ValidationWallClock {
   uint64_t blocks = 0;
   uint64_t verify_ns = 0;  ///< Parallel endorsement/signature stage.
-  uint64_t commit_ns = 0;  ///< MVCC/write/append stage (either path).
-  /// Dependency-aware commit breakdown (commit_workers > 1, DESIGN.md §13):
-  /// waves executed across all blocks, host nanoseconds inside the wave
-  /// loop (fan-out + barrier), and the single slowest wave seen. Zero on
-  /// the sequential path.
-  uint64_t commit_waves = 0;
-  uint64_t commit_wave_ns = 0;
-  uint64_t commit_wave_max_ns = 0;
+  uint64_t commit_ns = 0;  ///< MVCC/write/append stage.
 
   std::string ToString() const;
 };
@@ -154,25 +146,6 @@ struct ReorderWallClock {
   uint64_t enumerate_us = 0;
   uint64_t break_us = 0;
   uint64_t schedule_us = 0;
-
-  std::string ToString() const;
-};
-
-/// Storage-engine counters of the observer peer's persistent state store
-/// (storage::DbStats plus the block cache), folded in by the harness after
-/// a run. Same contract as ValidationWallClock: host-side measurements kept
-/// out of RunReport so simulation fingerprints stay byte-identical whatever
-/// the cache size, compaction shape, or checkpoint cadence. Benches and
-/// tools read them via Metrics::storage_counters().
-struct StorageCounters {
-  uint64_t flushes = 0;
-  uint64_t compactions = 0;
-  uint64_t compaction_bytes_written = 0;
-  uint64_t orphaned_tables_removed = 0;
-  uint64_t checkpoints_written = 0;
-  uint64_t recovered_checkpoint_height = 0;
-  uint64_t block_cache_hits = 0;
-  uint64_t block_cache_misses = 0;
 
   std::string ToString() const;
 };
@@ -266,18 +239,11 @@ class Metrics {
 
   /// Host wall-clock of one block's verify/commit stages (observer peer).
   /// Accumulated outside the deterministic report — see ValidationWallClock.
-  void NoteValidationWallClock(uint64_t verify_ns, uint64_t commit_ns,
-                               uint32_t commit_waves = 0,
-                               uint64_t commit_wave_ns = 0,
-                               uint64_t commit_wave_max_ns = 0) {
+  void NoteValidationWallClock(uint64_t verify_ns, uint64_t commit_ns) {
     const std::lock_guard<std::mutex> lock(mu_);
     ++validation_wall_.blocks;
     validation_wall_.verify_ns += verify_ns;
     validation_wall_.commit_ns += commit_ns;
-    validation_wall_.commit_waves += commit_waves;
-    validation_wall_.commit_wave_ns += commit_wave_ns;
-    validation_wall_.commit_wave_max_ns =
-        std::max(validation_wall_.commit_wave_max_ns, commit_wave_max_ns);
   }
   const ValidationWallClock& validation_wall_clock() const {
     return validation_wall_;
@@ -298,18 +264,6 @@ class Metrics {
     reorder_wall_.schedule_us += schedule_us;
   }
   const ReorderWallClock& reorder_wall_clock() const { return reorder_wall_; }
-
-  /// Storage-engine totals, folded in by the harness or bench after the run
-  /// (from storage::Db::stats() and the block cache counters) — see
-  /// StorageCounters.
-  void SetStorageCounters(const StorageCounters& counters) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    storage_counters_ = counters;
-  }
-  StorageCounters storage_counters() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return storage_counters_;
-  }
 
   /// One cross-node message measured at its real framed size (thread and
   /// socket modes; the mesh skips measuring under sim). `type` is the raw
@@ -461,7 +415,6 @@ class Metrics {
   uint64_t net_duplicated_ = 0;
   ValidationWallClock validation_wall_;
   ReorderWallClock reorder_wall_;
-  StorageCounters storage_counters_;
   TransportCounters transport_counters_;
 };
 

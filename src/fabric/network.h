@@ -151,15 +151,6 @@ class FabricNetwork {
     return SharedPool(runtime::PoolKind::kReorder, config_.reorder_workers);
   }
 
-  /// Pool running the peers' real commit-stage wave fan-out (null when
-  /// commit_workers == 1). Its own kind for the same reason as
-  /// reorder_pool: the verify stage's fan-out has finished by the time the
-  /// commit stage runs, but keeping the users on distinct pools makes the
-  /// single-user ParallelFor contract hold by construction.
-  ThreadPool* commit_pool() {
-    return SharedPool(runtime::PoolKind::kCommit, config_.commit_workers);
-  }
-
   size_t num_peers() const { return slice_.num_peers(); }
   PeerNode& peer(uint32_t i) { return slice_.peer(i); }
   const PeerNode& peer(uint32_t i) const { return slice_.peer(i); }

@@ -230,17 +230,8 @@ void SocketHost::SendTransaction(runtime::Endpoint& /*from*/, uint32_t channel,
 void SocketHost::SendEndorsementReply(
     runtime::Endpoint& /*from*/, uint32_t client_index, uint64_t proposal_id,
     Result<peer::EndorsementResponse> response, uint64_t size_bytes) {
-  proto::EndorsementReplyMsg msg;
-  msg.client_index = client_index;
-  msg.proposal_id = proposal_id;
-  msg.ok = response.ok();
-  if (response.ok()) {
-    msg.rwset = std::move(response->rwset);
-    msg.endorsement = std::move(response->endorsement);
-  } else {
-    msg.status_code = static_cast<uint8_t>(response.status().code());
-    msg.status_message = response.status().message();
-  }
+  const proto::EndorsementReplyMsg msg = node::EndorsementReplyToWire(
+      client_index, proposal_id, std::move(response));
   Ship(ClientsKey(), proto::WireMessageType::kEndorsementReply, msg.Encode(),
        size_bytes);
 }
@@ -294,15 +285,16 @@ void SocketHost::SendBlock(runtime::Endpoint& /*from*/, uint32_t peer_index,
        block_bytes);
 }
 
-void SocketHost::GossipBlock(runtime::Endpoint& /*from*/,
-                             uint32_t /*channel*/,
-                             std::shared_ptr<proto::Block> /*block*/,
-                             uint64_t /*block_bytes*/) {
-  // Validate() rejects gossip_blocks under runtime_mode="socket" (peer ->
-  // peer links do not exist in the dial topology).
-  FABRICPP_LOG(Error) << "gossip dissemination is not available in socket "
-                         "mode";
-  std::abort();
+void SocketHost::BroadcastBlock(runtime::Endpoint& /*from*/,
+                                uint32_t channel,
+                                std::shared_ptr<proto::Block> block,
+                                uint64_t block_bytes) {
+  // Always direct: peer -> peer links do not exist in the dial topology,
+  // which is why Validate() rejects gossip_blocks under socket mode.
+  const Bytes payload = proto::BlockMsg{channel, *block}.Encode();
+  for (uint32_t p = 0; p < slice_.num_peers(); ++p) {
+    Ship(PeerKey(p), proto::WireMessageType::kBlock, payload, block_bytes);
+  }
 }
 
 void SocketHost::SendChainInfo(runtime::Endpoint& /*from*/, uint32_t peer_index,
@@ -354,12 +346,7 @@ void SocketHost::HandleClientsFrame(proto::Frame& frame) {
       if (!msg.ok() || msg->client_index >= clients.size()) break;
       node::ClientNode* c = clients[msg->client_index].get();
       Result<peer::EndorsementResponse> response =
-          msg->ok ? Result<peer::EndorsementResponse>(
-                        peer::EndorsementResponse{std::move(msg->rwset),
-                                                  std::move(msg->endorsement)})
-                  : Result<peer::EndorsementResponse>(
-                        Status(static_cast<StatusCode>(msg->status_code),
-                               std::move(msg->status_message)));
+          node::EndorsementReplyFromWire(std::move(*msg));
       c->home().Post([c, proposal_id = msg->proposal_id,
                       response = std::move(response)]() mutable {
         c->HandleEndorsement(proposal_id, std::move(response));

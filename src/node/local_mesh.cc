@@ -58,17 +58,8 @@ void LocalMesh::SendEndorsementReply(
     Result<peer::EndorsementResponse> response, uint64_t size_bytes) {
   ClientNode* client = &directory_->client(client_index);
   if (measure_wire_bytes_) {
-    proto::EndorsementReplyMsg msg;
-    msg.client_index = client_index;
-    msg.proposal_id = proposal_id;
-    msg.ok = response.ok();
-    if (response.ok()) {
-      msg.rwset = response->rwset;
-      msg.endorsement = response->endorsement;
-    } else {
-      msg.status_code = static_cast<uint8_t>(response.status().code());
-      msg.status_message = response.status().message();
-    }
+    const proto::EndorsementReplyMsg msg =
+        EndorsementReplyToWire(client_index, proposal_id, response);
     Measure(static_cast<uint8_t>(proto::WireMessageType::kEndorsementReply),
             msg.Encode().size(), size_bytes);
   }
@@ -146,9 +137,15 @@ void LocalMesh::SendBlock(runtime::Endpoint& from, uint32_t peer_index,
   }
 }
 
-void LocalMesh::GossipBlock(runtime::Endpoint& from, uint32_t channel,
-                            std::shared_ptr<proto::Block> block,
-                            uint64_t block_bytes) {
+void LocalMesh::BroadcastBlock(runtime::Endpoint& from, uint32_t channel,
+                               std::shared_ptr<proto::Block> block,
+                               uint64_t block_bytes) {
+  if (!config_->gossip_blocks) {
+    for (uint32_t p = 0; p < directory_->num_peers(); ++p) {
+      SendBlock(from, p, channel, block, block_bytes);
+    }
+    return;
+  }
   // Gossip: one copy to each org's leader peer (its first), which forwards
   // to the org's remaining members — "partially from ordering service to
   // peers directly ... and partially between the peers using a gossip

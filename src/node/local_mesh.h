@@ -49,9 +49,11 @@ class LocalMesh : public Mesh {
   void SendBlock(runtime::Endpoint& from, uint32_t peer_index,
                  uint32_t channel, std::shared_ptr<proto::Block> block,
                  uint64_t block_bytes) override;
-  void GossipBlock(runtime::Endpoint& from, uint32_t channel,
-                   std::shared_ptr<proto::Block> block,
-                   uint64_t block_bytes) override;
+  /// Direct to every peer, or Fabric's gossip pattern when
+  /// FabricConfig::gossip_blocks is on.
+  void BroadcastBlock(runtime::Endpoint& from, uint32_t channel,
+                      std::shared_ptr<proto::Block> block,
+                      uint64_t block_bytes) override;
   void SendChainInfo(runtime::Endpoint& from, uint32_t peer_index,
                      uint32_t channel, uint64_t height) override;
   void SendBlockRequest(runtime::Endpoint& from, uint32_t channel,

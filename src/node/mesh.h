@@ -80,18 +80,19 @@ class Mesh {
                            uint64_t proposal_id,
                            proto::TxValidationCode code) = 0;
 
-  /// Orderer -> peer: a cut block (direct dissemination).
+  /// Orderer -> one peer: a block it asked for again.
   virtual void SendBlock(runtime::Endpoint& from, uint32_t peer_index,
                          uint32_t channel,
                          std::shared_ptr<proto::Block> block,
                          uint64_t block_bytes) = 0;
 
-  /// Orderer -> org leaders -> org members: Fabric's gossip dissemination
-  /// (Appendix A.2 step 9). LocalMesh only; socket mode validates
-  /// gossip_blocks off.
-  virtual void GossipBlock(runtime::Endpoint& from, uint32_t channel,
-                           std::shared_ptr<proto::Block> block,
-                           uint64_t block_bytes) = 0;
+  /// Orderer -> every peer: a newly cut block (paper §2.2.2 / Appendix A.2
+  /// steps 8-9). The mesh decides how it travels: directly, or through
+  /// each org's leader when gossip is on (in-process meshes only; Validate
+  /// rejects gossip_blocks under socket mode).
+  virtual void BroadcastBlock(runtime::Endpoint& from, uint32_t channel,
+                              std::shared_ptr<proto::Block> block,
+                              uint64_t block_bytes) = 0;
 
   /// Orderer -> peer: current dispatched chain height (gap detection).
   virtual void SendChainInfo(runtime::Endpoint& from, uint32_t peer_index,

@@ -12,7 +12,6 @@
 #include "node/mesh.h"
 #include "node/peer_node.h"
 #include "node/wire.h"
-#include "ordering/commit_schedule.h"
 #include "ordering/early_abort.h"
 
 namespace fabricpp::node {
@@ -74,15 +73,8 @@ void OrdererNode::DispatchBlock(uint32_t channel,
   // Keep the block servable: peers that miss this delivery (loss, crash,
   // partition) fetch it later via HandleBlockRequest.
   channels_[channel].dispatched[block->header.number] = block;
-  // Distribute to every peer (paper §2.2.2 / Appendix A.2 steps 8-9).
-  if (!config().gossip_blocks) {
-    for (uint32_t p = 0; p < ctx_.directory->num_peers(); ++p) {
-      ctx_.mesh->SendBlock(endpoint_for(channel), p, channel, block,
-                           block_bytes);
-    }
-    return;
-  }
-  ctx_.mesh->GossipBlock(endpoint_for(channel), channel, block, block_bytes);
+  ctx_.mesh->BroadcastBlock(endpoint_for(channel), channel, std::move(block),
+                            block_bytes);
 }
 
 void OrdererNode::HandleBlockRequest(uint32_t channel, uint32_t peer_index,
@@ -309,23 +301,6 @@ void OrdererNode::ProcessBatch(uint32_t channel, ordering::Batch batch) {
   block->SealDataHash();
   ch.prev_hash = block->header.Hash();
   blocks_cut_.fetch_add(1, std::memory_order_relaxed);
-
-  if (cfg.ship_commit_schedule) {
-    // Attach the commit-stage wave schedule (DESIGN.md §13, carried inside
-    // the block — see src/node/wire.h). Sealed *after* the data hash on
-    // purpose: the schedule is advisory (peers validate or recompute), so
-    // it stays outside the integrity envelope and the chain hashes are
-    // unchanged by shipping it. Its wire bytes do enlarge block_bytes
-    // below, deterministically feeding the network/append cost model.
-    std::vector<const proto::ReadWriteSet*> schedule_rwsets;
-    schedule_rwsets.reserve(block->transactions.size());
-    for (const proto::Transaction& tx : block->transactions) {
-      schedule_rwsets.push_back(&tx.rwset);
-    }
-    block->commit_waves = ordering::ComputeCommitWaves(schedule_rwsets);
-    // One linear pass over the rwsets, folded into the per-tx order cost.
-    service += cost.order_per_tx * block->transactions.size();
-  }
 
   if (cfg.fair_conflict_penalty > 0) {
     // Feed the conflict-aware scheduler the block's write keys: keys

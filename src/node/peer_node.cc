@@ -26,16 +26,10 @@ PeerNode::PeerNode(const NodeContext& ctx, uint32_t index, std::string name,
                  ctx.runtime->RequestPool(runtime::PoolKind::kValidator,
                                           ctx.config->validator_workers)),
       channels_(ctx.config->num_channels) {
-  // Commit-stage wave fan-out (DESIGN.md §13): its own pool kind — the
-  // verify fan-out has joined before the commit stage starts, but
-  // ParallelFor is single-user and the two must never share a pool.
-  validator_.set_commit_pool(ctx.runtime->RequestPool(
-      runtime::PoolKind::kCommit, ctx.config->commit_workers));
-  validator_.set_verify_shipped_schedule(ctx.config->verify_commit_schedule);
   // Lane 0 is the primary context; extra lanes (thread runtime,
   // multi-channel) each get their own endpoint thread, executor, and
   // validator, so independent channels endorse and commit in parallel.
-  // The validator is per lane because its ParallelFor pools are
+  // The validator is per lane because its ParallelFor pool is
   // single-user; the endorser is shared (const, internally synchronized).
   lane_endpoints_.push_back(endpoint_);
   lane_cpus_.push_back(cpu_);
@@ -51,10 +45,6 @@ PeerNode::PeerNode(const NodeContext& ctx, uint32_t index, std::string name,
         ctx.config->seed, ctx.policies,
         ctx.runtime->RequestPool(runtime::PoolKind::kValidator,
                                  ctx.config->validator_workers));
-    validator->set_commit_pool(ctx.runtime->RequestPool(
-        runtime::PoolKind::kCommit, ctx.config->commit_workers));
-    validator->set_verify_shipped_schedule(
-        ctx.config->verify_commit_schedule);
     extra_validators_.push_back(std::move(validator));
   }
 }
@@ -373,14 +363,10 @@ void PeerNode::FinishCommit(uint32_t channel) {
       validator_for(channel).ValidateAndCommit(*block, &ch.db, &ch.ledger);
 
   if (ctx_.directory->IsObserver(*this)) {
-    // Host wall-clock of the two validation stages (plus the commit path's
-    // wave breakdown) — kept outside the deterministic RunReport (it varies
-    // with validator_workers / commit_workers).
+    // Host wall-clock of the two validation stages — kept outside the
+    // deterministic RunReport (it varies with validator_workers).
     metrics().NoteValidationWallClock(result.verify_wall_ns,
-                                      result.commit_wall_ns,
-                                      result.commit_waves,
-                                      result.commit_wave_wall_ns,
-                                      result.commit_wave_max_ns);
+                                      result.commit_wall_ns);
     const runtime::TimeMicros now = clock_for(channel).Now();
     for (uint32_t i = 0; i < block->transactions.size(); ++i) {
       const proto::Transaction& tx = block->transactions[i];

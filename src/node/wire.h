@@ -2,30 +2,16 @@
 #define FABRICPP_NODE_WIRE_H_
 
 #include <cstdint>
+#include <utility>
 
-#include "proto/block.h"
+#include "common/result.h"
+#include "peer/endorser.h"
+#include "proto/wire_format.h"
 
 namespace fabricpp::node {
 
 /// Fixed per-message envelope overhead (headers, signatures) in bytes.
 inline constexpr uint64_t kMessageOverhead = 300;
-
-/// Commit-schedule carriage (DESIGN.md §13). When
-/// FabricConfig::ship_commit_schedule is on, the orderer attaches the
-/// commit-stage wave partition to every block it cuts as the tagged
-/// trailing section of the block encoding (proto::Block::commit_waves) —
-/// *inside* the block rather than as a sibling message, so every path a
-/// block travels (direct dispatch, gossip forwarding, refetch after loss,
-/// peer reorder buffers, the ledger's block store) replicates the schedule
-/// with it for free. The section is excluded from the sealed data hash:
-/// peers treat it as an untrusted hint, validate it against the rwsets in
-/// O(total-rwset), and recompute on any mismatch
-/// (ordering::ValidateCommitWaves), so tampering with it in flight can at
-/// worst cost the receiving peer that recompute. Schedule bytes do count
-/// toward Block::ByteSize and therefore toward the modeled network and
-/// ledger-append costs — which is why the knob defaults off and runs
-/// without it stay byte-identical to pre-schedule builds.
-inline constexpr uint8_t kCommitScheduleTag = proto::kCommitScheduleTag;
 
 /// Explicit overload refusal from an endorser or the orderer: the node's
 /// bounded admission queue is full, so instead of silently dropping the
@@ -40,6 +26,38 @@ struct BusyResponse {
   /// own exponential-backoff delay.
   uint64_t retry_after_us = 0;
 };
+
+/// An endorser's reply in its wire form: the effects and signature on
+/// success, the status code and message on failure. Both meshes encode
+/// through it, so the in-process byte measurement and the socket frame
+/// agree.
+inline proto::EndorsementReplyMsg EndorsementReplyToWire(
+    uint32_t client_index, uint64_t proposal_id,
+    Result<peer::EndorsementResponse> response) {
+  proto::EndorsementReplyMsg msg;
+  msg.client_index = client_index;
+  msg.proposal_id = proposal_id;
+  msg.ok = response.ok();
+  if (response.ok()) {
+    msg.rwset = std::move(response->rwset);
+    msg.endorsement = std::move(response->endorsement);
+  } else {
+    msg.status_code = static_cast<uint8_t>(response.status().code());
+    msg.status_message = response.status().message();
+  }
+  return msg;
+}
+
+/// Inverse of EndorsementReplyToWire.
+inline Result<peer::EndorsementResponse> EndorsementReplyFromWire(
+    proto::EndorsementReplyMsg msg) {
+  if (!msg.ok) {
+    return Status(static_cast<StatusCode>(msg.status_code),
+                  std::move(msg.status_message));
+  }
+  return peer::EndorsementResponse{std::move(msg.rwset),
+                                   std::move(msg.endorsement)};
+}
 
 }  // namespace fabricpp::node
 

@@ -1,12 +1,10 @@
 #include "peer/validator.h"
 
-#include <algorithm>
 #include <chrono>
 #include <mutex>
 #include <unordered_set>
 
 #include "common/logging.h"
-#include "ordering/commit_schedule.h"
 #include "peer/endorser.h"
 
 namespace fabricpp::peer {
@@ -108,17 +106,69 @@ BlockValidationResult Validator::ValidateAndCommit(
   result.verify_wall_ns = ElapsedNs(verify_start);
 
   // Stage 2 — commit: replay protection, MVCC, write application, ledger
-  // append. Writes are *deferred* on both paths: valid transactions
-  // accumulate into one block-level batch that is applied atomically at the
-  // end, so a crash mid-block can never leave the store with some
-  // transactions' writes but not others (or writes ahead of the recorded
-  // height).
+  // append. Writes are *deferred*: valid transactions accumulate into one
+  // block-level batch that is applied atomically at the end, so a crash
+  // mid-block can never leave the store with some transactions' writes but
+  // not others (or writes ahead of the recorded height).
   const auto commit_start = std::chrono::steady_clock::now();
   std::vector<statedb::VersionedWrite> block_writes;
-  if (commit_pool_ == nullptr) {
-    CommitSequential(block, policy_ok, *db, ledger, &result, &block_writes);
-  } else {
-    CommitWaves(block, policy_ok, *db, ledger, &result, &block_writes);
+  // Transactions are checked in block order, as in Fabric (§2.2.4): each
+  // valid transaction's writes feed the next one's MVCC check through the
+  // `pending` overlay. Single-threaded and lock-free.
+  std::unordered_set<std::string> block_tx_ids;
+  std::unordered_map<std::string, proto::Version> pending;
+  const auto current_version = [&](const std::string& key) {
+    const auto it = pending.find(key);
+    return it != pending.end() ? it->second : db->GetVersion(key);
+  };
+  for (uint32_t i = 0; i < block.transactions.size(); ++i) {
+    const proto::Transaction& tx = block.transactions[i];
+
+    // Replay protection (Fabric's DUPLICATE_TXID check): a transaction id
+    // already on the ledger — or earlier in this very block — must not
+    // commit again. Without this, a network-duplicated read-only
+    // transaction passes MVCC every time (its reads bump no versions).
+    if (!tx.tx_id.empty() &&
+        ((ledger != nullptr && ledger->FindTransaction(tx.tx_id).ok()) ||
+         !block_tx_ids.insert(tx.tx_id).second)) {
+      result.codes[i] = proto::TxValidationCode::kDuplicateTxId;
+      ++result.num_duplicate_txids;
+      continue;
+    }
+
+    // First check: endorsement policy + signatures (Appendix A.3.1),
+    // computed by the verify stage.
+    if (!policy_ok[i]) {
+      result.codes[i] = proto::TxValidationCode::kEndorsementPolicyFailure;
+      ++result.num_policy_failures;
+      continue;
+    }
+
+    // Second check: MVCC serializability (Appendix A.3.2). Earlier valid
+    // transactions of this block have already bumped versions in the
+    // overlay, so within-block read-write conflicts fail here too.
+    bool serializable = true;
+    for (const proto::ReadItem& r : tx.rwset.reads) {
+      if (current_version(r.key) != r.version) {
+        serializable = false;
+        break;
+      }
+    }
+    if (!serializable) {
+      result.codes[i] = proto::TxValidationCode::kMvccConflict;
+      ++result.num_mvcc_conflicts;
+      continue;
+    }
+
+    result.codes[i] = proto::TxValidationCode::kValid;
+    ++result.num_valid;
+    const proto::Version version{block.header.number, i};
+    for (const proto::WriteItem& w : tx.rwset.writes) {
+      block_writes.push_back(statedb::VersionedWrite{w, version});
+      // A delete leaves no version behind — a later same-block read of the
+      // key must see kNilVersion, matching the store after the erase.
+      pending[w.key] = w.is_delete ? proto::kNilVersion : version;
+    }
   }
 
   // One atomic commit for the whole block: every valid write and the new
@@ -146,207 +196,6 @@ BlockValidationResult Validator::ValidateAndCommit(
   }
   result.commit_wall_ns = ElapsedNs(commit_start);
   return result;
-}
-
-void Validator::CommitSequential(
-    const proto::Block& block, const std::vector<uint8_t>& policy_ok,
-    const statedb::StateStore& db, const ledger::Ledger* ledger,
-    BlockValidationResult* result,
-    std::vector<statedb::VersionedWrite>* block_writes) const {
-  // The classic ordered loop — each valid transaction's writes feed the
-  // next one's MVCC check via the `pending` overlay, which keeps the check
-  // seeing earlier same-block version bumps exactly as the old
-  // write-through path did. Single-threaded and lock-free.
-  std::unordered_set<std::string> block_tx_ids;
-  std::unordered_map<std::string, proto::Version> pending;
-  const auto current_version = [&](const std::string& key) {
-    const auto it = pending.find(key);
-    return it != pending.end() ? it->second : db.GetVersion(key);
-  };
-  for (uint32_t i = 0; i < block.transactions.size(); ++i) {
-    const proto::Transaction& tx = block.transactions[i];
-
-    // Replay protection (Fabric's DUPLICATE_TXID check): a transaction id
-    // already on the ledger — or earlier in this very block — must not
-    // commit again. Without this, a network-duplicated read-only
-    // transaction passes MVCC every time (its reads bump no versions).
-    if (!tx.tx_id.empty() &&
-        ((ledger != nullptr && ledger->FindTransaction(tx.tx_id).ok()) ||
-         !block_tx_ids.insert(tx.tx_id).second)) {
-      result->codes[i] = proto::TxValidationCode::kDuplicateTxId;
-      ++result->num_duplicate_txids;
-      continue;
-    }
-
-    // First check: endorsement policy + signatures (Appendix A.3.1),
-    // computed by the verify stage.
-    if (!policy_ok[i]) {
-      result->codes[i] = proto::TxValidationCode::kEndorsementPolicyFailure;
-      ++result->num_policy_failures;
-      continue;
-    }
-
-    // Second check: MVCC serializability (Appendix A.3.2). Earlier valid
-    // transactions of this block have already bumped versions in the
-    // overlay, so within-block read-write conflicts fail here too.
-    bool serializable = true;
-    for (const proto::ReadItem& r : tx.rwset.reads) {
-      if (current_version(r.key) != r.version) {
-        serializable = false;
-        break;
-      }
-    }
-    if (!serializable) {
-      result->codes[i] = proto::TxValidationCode::kMvccConflict;
-      ++result->num_mvcc_conflicts;
-      continue;
-    }
-
-    result->codes[i] = proto::TxValidationCode::kValid;
-    ++result->num_valid;
-    const proto::Version version{block.header.number, i};
-    for (const proto::WriteItem& w : tx.rwset.writes) {
-      block_writes->push_back(statedb::VersionedWrite{w, version});
-      // A delete leaves no version behind — a later same-block read of the
-      // key must see kNilVersion, matching the store after the erase.
-      pending[w.key] = w.is_delete ? proto::kNilVersion : version;
-    }
-  }
-}
-
-void Validator::CommitWaves(
-    const proto::Block& block, const std::vector<uint8_t>& policy_ok,
-    const statedb::StateStore& db, const ledger::Ledger* ledger,
-    BlockValidationResult* result,
-    std::vector<statedb::VersionedWrite>* block_writes) const {
-  const size_t n = block.transactions.size();
-
-  // Dup-txid pre-pass, sequential. The verdict is a pure function of the
-  // ledger and the *block order* — independent of any wave schedule — so it
-  // is resolved up front instead of adding txid edges to the waves. The
-  // short-circuit mirrors CommitSequential exactly: an id already on the
-  // ledger is not inserted into the block-local set (its later in-block
-  // duplicates still fail the ledger probe).
-  std::vector<uint8_t> dup(n, 0);
-  {
-    std::unordered_set<std::string> block_tx_ids;
-    for (uint32_t i = 0; i < n; ++i) {
-      const proto::Transaction& tx = block.transactions[i];
-      if (!tx.tx_id.empty() &&
-          ((ledger != nullptr && ledger->FindTransaction(tx.tx_id).ok()) ||
-           !block_tx_ids.insert(tx.tx_id).second)) {
-        dup[i] = 1;
-      }
-    }
-  }
-
-  // Wave schedule: take the orderer-shipped one when it is present and
-  // passes validation (or validation is waived — the trusted-orderer
-  // posture); otherwise recompute. Any valid partition yields identical
-  // output (see ordering/commit_schedule.h), so a discarded schedule costs
-  // one local recompute, never correctness.
-  std::vector<const proto::ReadWriteSet*> rwsets;
-  rwsets.reserve(n);
-  for (const proto::Transaction& tx : block.transactions) {
-    rwsets.push_back(&tx.rwset);
-  }
-  std::vector<uint32_t> computed;
-  const std::vector<uint32_t>* waves = nullptr;
-  if (block.commit_waves.size() == n && n > 0 &&
-      (!verify_shipped_schedule_ ||
-       ordering::ValidateCommitWaves(rwsets, block.commit_waves))) {
-    waves = &block.commit_waves;
-  } else {
-    computed = ordering::ComputeCommitWaves(rwsets);
-    waves = &computed;
-  }
-  const uint32_t num_waves = ordering::NumCommitWaves(*waves);
-  std::vector<std::vector<uint32_t>> wave_members(num_waves);
-  for (uint32_t i = 0; i < n; ++i) {
-    // Ascending block index within each wave — barrier order relies on it.
-    wave_members[(*waves)[i]].push_back(i);
-  }
-
-  // Per-key version map: every read key's base version is prefetched
-  // sequentially (StateStore::GetVersion makes no concurrency promise; the
-  // in-memory map does), then the map is the single source the wave
-  // workers read. During a wave it is immutable — workers only find();
-  // barriers (sequential) fold the wave's valid writes in. The store is
-  // untouched until the final ApplyBlock, so base versions cannot move
-  // under the block.
-  std::unordered_map<std::string, proto::Version> version_map;
-  for (const proto::Transaction& tx : block.transactions) {
-    for (const proto::ReadItem& r : tx.rwset.reads) {
-      if (version_map.find(r.key) == version_map.end()) {
-        version_map.emplace(r.key, db.GetVersion(r.key));
-      }
-    }
-  }
-
-  // Waves: parallel snapshot checks, then a sequential barrier. A wave's
-  // checks never see a same-wave writer (the schedule forbids
-  // write->read pairs inside a wave), so reading the snapshot matches the
-  // sequential loop's check-before-later-writes order; the barrier applies
-  // valid writes in block order, so same-wave write-write pairs resolve
-  // with the later transaction winning, again as in the loop.
-  std::vector<uint8_t> mvcc_ok(n, 0);
-  for (uint32_t w = 0; w < num_waves; ++w) {
-    const auto wave_start = std::chrono::steady_clock::now();
-    const std::vector<uint32_t>& members = wave_members[w];
-    const auto check_one = [&](size_t k) {
-      const uint32_t i = members[k];
-      if (dup[i] || !policy_ok[i]) return;  // Verdict already decided.
-      bool serializable = true;
-      for (const proto::ReadItem& r : block.transactions[i].rwset.reads) {
-        // Every read key was prefetched above.
-        if (version_map.find(r.key)->second != r.version) {
-          serializable = false;
-          break;
-        }
-      }
-      mvcc_ok[i] = serializable ? 1 : 0;
-    };
-    if (members.size() > 1 && commit_pool_->extra_threads() > 0) {
-      commit_pool_->ParallelFor(members.size(), check_one);
-    } else {
-      for (size_t k = 0; k < members.size(); ++k) check_one(k);
-    }
-    // Barrier: verdicts and overlay bumps, in block order within the wave.
-    for (const uint32_t i : members) {
-      if (dup[i] || !policy_ok[i] || !mvcc_ok[i]) continue;
-      const proto::Version version{block.header.number, i};
-      for (const proto::WriteItem& item : block.transactions[i].rwset.writes) {
-        version_map[item.key] =
-            item.is_delete ? proto::kNilVersion : version;
-      }
-    }
-    const uint64_t wave_ns = ElapsedNs(wave_start);
-    ++result->commit_waves;
-    result->commit_wave_wall_ns += wave_ns;
-    result->commit_wave_max_ns = std::max(result->commit_wave_max_ns, wave_ns);
-  }
-
-  // Codes, counters and the write batch in block order — byte-identical to
-  // what CommitSequential builds, whatever the wave partition was.
-  for (uint32_t i = 0; i < n; ++i) {
-    if (dup[i]) {
-      result->codes[i] = proto::TxValidationCode::kDuplicateTxId;
-      ++result->num_duplicate_txids;
-    } else if (!policy_ok[i]) {
-      result->codes[i] = proto::TxValidationCode::kEndorsementPolicyFailure;
-      ++result->num_policy_failures;
-    } else if (!mvcc_ok[i]) {
-      result->codes[i] = proto::TxValidationCode::kMvccConflict;
-      ++result->num_mvcc_conflicts;
-    } else {
-      result->codes[i] = proto::TxValidationCode::kValid;
-      ++result->num_valid;
-      const proto::Version version{block.header.number, i};
-      for (const proto::WriteItem& item : block.transactions[i].rwset.writes) {
-        block_writes->push_back(statedb::VersionedWrite{item, version});
-      }
-    }
-  }
 }
 
 uint32_t CountValidUnderCommonSnapshot(

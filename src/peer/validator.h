@@ -28,15 +28,6 @@ struct BlockValidationResult {
   /// must never feed back into virtual time or validation decisions.
   uint64_t verify_wall_ns = 0;
   uint64_t commit_wall_ns = 0;
-  /// Wave-level breakdown of the dependency-aware commit path (DESIGN.md
-  /// §13): number of waves executed, host nanoseconds summed across the
-  /// waves (check fan-out + barrier apply, excluding the dup pre-pass and
-  /// the final batch build), and the single slowest wave. All zero on the
-  /// sequential path (commit_workers == 1). Same measurement-only contract
-  /// as the wall-clock fields above.
-  uint32_t commit_waves = 0;
-  uint64_t commit_wave_wall_ns = 0;
-  uint64_t commit_wave_max_ns = 0;
 };
 
 /// The validation + commit phase of a peer (paper §2.2.3-§2.2.4 /
@@ -56,18 +47,13 @@ struct BlockValidationResult {
 ///    attached the checks fan out across its workers and the verdicts are
 ///    joined in transaction order, so the outcome is byte-identical to the
 ///    serial loop regardless of worker count.
-///  - **commit**: duplicate-txid replay protection, the MVCC check, write
-///    application, and the ledger append. With no commit pool attached it
-///    is the classic sequential loop (each valid transaction's writes feed
-///    the next one's MVCC check), single-threaded and lock-free as in
-///    "Lockless Transaction Isolation in Hyperledger Fabric". With a commit
-///    pool it runs the dependency-aware wave schedule (DESIGN.md §13,
-///    ordering/commit_schedule.h): MVCC checks of one conflict-free wave
-///    fan out across the pool against a version snapshot, and the barrier
-///    between waves applies the wave's valid writes to the overlay in block
-///    order — verdicts, the write batch handed to the store, and the ledger
-///    append are byte-identical to the sequential loop for any worker
-///    count and any valid wave partition.
+///  - **commit** (sequential, as in Fabric §2.2.4): duplicate-txid replay
+///    protection, the MVCC check, write application, and the ledger
+///    append, one transaction at a time in block order, so each valid
+///    transaction's writes feed the next one's MVCC check. Single-threaded
+///    and lock-free, as in "Lockless Transaction Isolation in Hyperledger
+///    Fabric". DESIGN.md §13 records why this stage has no parallel
+///    variant.
 class Validator {
  public:
   /// `policies` is borrowed; `network_seed` lets the validator reconstruct
@@ -79,21 +65,6 @@ class Validator {
   /// Attaches/detaches the verify-stage pool. Not thread-safe; call before
   /// validation begins.
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-
-  /// Attaches/detaches the commit-stage pool (null = the sequential commit
-  /// loop, byte-identical to pre-schedule builds). Must be a different pool
-  /// from the verify stage's (ParallelFor is single-user). Not thread-safe;
-  /// call before validation begins.
-  void set_commit_pool(ThreadPool* pool) { commit_pool_ = pool; }
-  ThreadPool* commit_pool() const { return commit_pool_; }
-
-  /// Whether a schedule shipped inside a block (Block::commit_waves) is
-  /// re-validated against the rwsets before the commit stage uses it — the
-  /// untrusted-orderer posture (default). An invalid or missing schedule is
-  /// recomputed locally either way, so this never changes verdicts.
-  void set_verify_shipped_schedule(bool verify) {
-    verify_shipped_schedule_ = verify;
-  }
 
   /// Derives and caches the verification identities for `peer_names` up
   /// front, so the verify stage's cache accesses are read-only in the
@@ -134,33 +105,9 @@ class Validator {
   /// unordered_map never invalidates references on rehash.
   const crypto::Identity& IdentityFor(const std::string& peer_name) const;
 
-  /// The classic sequential commit loop: fills `result` codes/counters and
-  /// appends every valid transaction's writes to `block_writes` in block
-  /// order. Used when no commit pool is attached.
-  void CommitSequential(const proto::Block& block,
-                        const std::vector<uint8_t>& policy_ok,
-                        const statedb::StateStore& db,
-                        const ledger::Ledger* ledger,
-                        BlockValidationResult* result,
-                        std::vector<statedb::VersionedWrite>* block_writes)
-      const;
-
-  /// The dependency-aware commit (DESIGN.md §13): dup-txid pre-pass, wave
-  /// schedule selection (shipped / recomputed), per-wave parallel MVCC
-  /// checks against a prefetched per-key version map, barrier apply.
-  /// Produces codes/counters/writes byte-identical to CommitSequential.
-  void CommitWaves(const proto::Block& block,
-                   const std::vector<uint8_t>& policy_ok,
-                   const statedb::StateStore& db, const ledger::Ledger* ledger,
-                   BlockValidationResult* result,
-                   std::vector<statedb::VersionedWrite>* block_writes) const;
-
   uint64_t network_seed_;
   const PolicyRegistry* policies_;
   ThreadPool* pool_;
-  /// Commit-stage wave fan-out pool (borrowed, may be null = sequential).
-  ThreadPool* commit_pool_ = nullptr;
-  bool verify_shipped_schedule_ = true;
   /// Guards identity_cache_. Invariant: verify-stage workers only ever
   /// take the shared side unless a signer was not pre-warmed; the exclusive
   /// side is taken solely to insert a missing identity.

@@ -41,15 +41,6 @@ Bytes Block::Encode() const {
   w.PutRaw(header.data_hash.data(), header.data_hash.size());
   w.PutVarint(transactions.size());
   for (const Transaction& tx : transactions) tx.EncodeTo(&w);
-  // Optional trailing section: the commit-stage dependency schedule. Only
-  // present when an orderer shipped one (ship_commit_schedule) — an empty
-  // schedule encodes to exactly the legacy block bytes, which is what keeps
-  // schedule-less runs byte-identical across versions.
-  if (!commit_waves.empty()) {
-    w.PutU8(kCommitScheduleTag);
-    w.PutVarint(commit_waves.size());
-    for (const uint32_t wave : commit_waves) w.PutVarint(wave);
-  }
   return out;
 }
 
@@ -74,23 +65,8 @@ Result<Block> Block::Decode(ByteReader* r) {
     FABRICPP_ASSIGN_OR_RETURN(Transaction tx, Transaction::Decode(r));
     block.transactions.push_back(std::move(tx));
   }
-  // Trailing optional commit schedule. Callers length-frame block bytes
-  // (ledger::BlockStore hands Decode an isolated reader), so "bytes left"
-  // is unambiguous: either the tagged schedule section or nothing.
   if (!r->AtEnd()) {
-    FABRICPP_ASSIGN_OR_RETURN(const uint8_t tag, r->GetU8());
-    if (tag != kCommitScheduleTag) {
-      return Status::DataLoss("unknown trailing block section");
-    }
-    FABRICPP_ASSIGN_OR_RETURN(const uint64_t num_waves, r->GetVarint());
-    if (num_waves != num_txs) {
-      return Status::DataLoss("commit schedule size mismatch");
-    }
-    block.commit_waves.reserve(num_waves);
-    for (uint64_t i = 0; i < num_waves; ++i) {
-      FABRICPP_ASSIGN_OR_RETURN(const uint64_t wave, r->GetVarint());
-      block.commit_waves.push_back(static_cast<uint32_t>(wave));
-    }
+    return Status::DataLoss("trailing bytes after encoded block");
   }
   return block;
 }

@@ -24,11 +24,6 @@ struct BlockHeader {
   crypto::Digest Hash() const;
 };
 
-/// Wire tag of the optional trailing commit-schedule section of an encoded
-/// Block (see Block::commit_waves). Deliberately not a small varint: a
-/// truncated/corrupted tail is overwhelmingly unlikely to alias it.
-inline constexpr uint8_t kCommitScheduleTag = 0xC5;
-
 /// A block as distributed by the ordering service (paper §2.2.2): an ordered
 /// list of transactions. Validation flags are *not* part of the distributed
 /// block — each peer computes them in its own validation phase and stores
@@ -37,16 +32,6 @@ struct Block {
   BlockHeader header;
   std::vector<Transaction> transactions;
 
-  /// Optional dependency schedule for the peer's commit stage
-  /// (ordering::ComputeCommitWaves, DESIGN.md §13): commit_waves[i] is the
-  /// wave of transactions[i]. Empty = not shipped (the wire encoding is then
-  /// byte-identical to a schedule-less block). Advisory metadata: it is
-  /// excluded from the data hash (peers validate it against the rwsets
-  /// before use and recompute on mismatch, so it needs no integrity
-  /// protection — see the trust model in ordering/commit_schedule.h), which
-  /// also keeps chain hashes independent of whether an orderer ships it.
-  std::vector<uint32_t> commit_waves;
-
   /// Recomputes header.data_hash from the transactions' Merkle root.
   void SealDataHash();
 
@@ -54,6 +39,9 @@ struct Block {
   bool VerifyDataHash() const;
 
   Bytes Encode() const;
+  /// Decodes a whole encoded block. `r` must hold exactly one block:
+  /// callers length-frame block bytes, so anything left over after the
+  /// transactions is DataLoss.
   static Result<Block> Decode(ByteReader* r);
 
   /// Wire size for the network cost model.

@@ -288,7 +288,6 @@ Result<BlockMsg> BlockMsg::Decode(ByteReader* r) {
   FABRICPP_ASSIGN_OR_RETURN(const Bytes body, r->GetBytes());
   ByteReader br(body);
   FABRICPP_ASSIGN_OR_RETURN(msg.block, Block::Decode(&br));
-  FABRICPP_RETURN_IF_ERROR(ExpectAtEnd(br, "block"));
   FABRICPP_RETURN_IF_ERROR(ExpectAtEnd(*r, "BLOCK"));
   return msg;
 }

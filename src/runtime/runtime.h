@@ -101,14 +101,12 @@ class Transport {
 };
 
 /// Fork-join worker pools for real (wall-clock-only) parallel work — the
-/// validator's signature checks, the peer's commit-stage wave fan-out and
-/// the orderer's reorder passes. Separate kinds because
-/// ThreadPool::ParallelFor is single-user: these fan-outs can be live on
-/// the same call stack and must never share a pool.
+/// validator's signature checks and the orderer's reorder passes. Separate
+/// kinds because ThreadPool::ParallelFor is single-user: these fan-outs can
+/// be live on the same call stack and must never share a pool.
 enum class PoolKind {
   kValidator,
   kReorder,
-  kCommit,
 };
 
 /// Which substrate executes the node state machines.

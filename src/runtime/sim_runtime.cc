@@ -33,9 +33,7 @@ ThreadPool* SimRuntime::RequestPool(PoolKind kind, uint32_t workers) {
   // The requesting thread participates in ParallelFor, so a pool with
   // `workers`-way parallelism owns workers - 1 extra threads.
   std::unique_ptr<ThreadPool>& slot =
-      kind == PoolKind::kValidator
-          ? validator_pool_
-          : kind == PoolKind::kReorder ? reorder_pool_ : commit_pool_;
+      kind == PoolKind::kValidator ? validator_pool_ : reorder_pool_;
   if (slot == nullptr) slot = std::make_unique<ThreadPool>(workers - 1);
   return slot.get();
 }

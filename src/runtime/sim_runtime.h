@@ -114,7 +114,6 @@ class SimRuntime final : public Runtime {
   /// most one fan-out of a kind is ever live (see Runtime::RequestPool).
   std::unique_ptr<ThreadPool> validator_pool_;
   std::unique_ptr<ThreadPool> reorder_pool_;
-  std::unique_ptr<ThreadPool> commit_pool_;
 };
 
 }  // namespace fabricpp::runtime

@@ -62,6 +62,42 @@ class PeerFixture : public ::testing::Test {
     return tx;
   }
 
+  /// A transaction with an explicit rwset (reads as {key, version}, writes
+  /// as plain upserts), signed by A1 and B1 over the real payload.
+  /// `tamper` edits the first write after signing.
+  proto::Transaction ExplicitTransaction(uint64_t id,
+                                         std::vector<proto::ReadItem> reads,
+                                         std::vector<std::string> write_keys,
+                                         bool tamper = false) {
+    proto::Transaction tx;
+    tx.proposal_id = id;
+    tx.client = "client";
+    tx.channel = "ch0";
+    tx.chaincode = "cc";
+    tx.policy_id = "AND(A,B)";
+    tx.rwset.reads = std::move(reads);
+    for (std::string& key : write_keys) {
+      tx.rwset.writes.push_back(
+          {std::move(key), "v" + std::to_string(id), false});
+    }
+    const Bytes payload = EndorsementPayload(tx.channel, tx.chaincode,
+                                             tx.policy_id, tx.rwset);
+    for (const char* org : {"A", "B"}) {
+      proto::Endorsement e;
+      e.peer = std::string(org) + "1";
+      e.org = org;
+      e.signature = crypto::Identity(kSeed, e.peer).Sign(payload);
+      tx.endorsements.push_back(std::move(e));
+    }
+    if (tamper) tx.rwset.writes[0].value = "evil";
+    proto::Proposal proposal;
+    proposal.proposal_id = id;
+    proposal.client = tx.client;
+    proposal.nonce = id;
+    tx.ComputeTxId(proposal);
+    return tx;
+  }
+
   proto::Block MakeBlock(uint64_t number,
                          std::vector<proto::Transaction> txs) {
     proto::Block block;
@@ -300,6 +336,58 @@ TEST_F(PeerFixture, InvalidTransactionWritesDiscarded) {
   EXPECT_EQ(db_.Get("bal_A")->value, "100");  // Untouched.
   EXPECT_EQ(ledger_.TotalTransactions(), 1u);  // Still recorded.
   EXPECT_EQ(ledger_.TotalValidTransactions(), 0u);
+}
+
+TEST_F(PeerFixture, HotKeyBlockCommitsOnlyTheFirstWriter) {
+  // Every transaction reads and writes the same key at its pre-block
+  // version: the first commits and bumps it, so the other 31 are stale.
+  std::vector<proto::Transaction> txs;
+  for (uint64_t i = 0; i < 32; ++i) {
+    txs.push_back(ExplicitTransaction(i, {{"hot", proto::kNilVersion}},
+                                      {"hot"}));
+  }
+  const auto result = validator_.ValidateAndCommit(
+      MakeBlock(1, std::move(txs)), &db_, &ledger_);
+  ASSERT_EQ(result.codes.size(), 32u);
+  EXPECT_EQ(result.codes[0], proto::TxValidationCode::kValid);
+  for (size_t i = 1; i < result.codes.size(); ++i) {
+    EXPECT_EQ(result.codes[i], proto::TxValidationCode::kMvccConflict) << i;
+  }
+  EXPECT_EQ(result.num_valid, 1u);
+  EXPECT_EQ(result.num_mvcc_conflicts, 31u);
+  EXPECT_EQ(db_.GetVersion("hot"), (proto::Version{1, 0}));
+}
+
+TEST_F(PeerFixture, MixedBlockGetsEveryVerdictClass) {
+  // An in-block version chain, a stale read, a tampered rwset, a duplicate
+  // id and a write-write pair with no read, in one block.
+  const std::vector<proto::Transaction> txs = {
+      ExplicitTransaction(0, {{"a", proto::kNilVersion}}, {"a", "b"}),
+      // Reads a's pre-block version, which tx 0 bumped: stale.
+      ExplicitTransaction(1, {{"a", proto::kNilVersion}}, {"c"}),
+      // Reads a at tx 0's in-block version.
+      ExplicitTransaction(2, {{"a", proto::Version{1, 0}}}, {"d"}),
+      ExplicitTransaction(3, {}, {"d"}, /*tamper=*/true),
+      // Byte-identical to tx 0 (the tx id covers the proposal and rwset).
+      ExplicitTransaction(0, {{"a", proto::kNilVersion}}, {"a", "b"}),
+      // Writes b after tx 0 without reading it: valid, and it wins.
+      ExplicitTransaction(5, {}, {"b"}),
+  };
+  const auto result =
+      validator_.ValidateAndCommit(MakeBlock(1, txs), &db_, &ledger_);
+  using Code = proto::TxValidationCode;
+  EXPECT_EQ(result.codes,
+            (std::vector<Code>{Code::kValid, Code::kMvccConflict, Code::kValid,
+                               Code::kEndorsementPolicyFailure,
+                               Code::kDuplicateTxId, Code::kValid}));
+  EXPECT_EQ(result.num_valid, 3u);
+  EXPECT_EQ(result.num_mvcc_conflicts, 1u);
+  EXPECT_EQ(result.num_policy_failures, 1u);
+  EXPECT_EQ(result.num_duplicate_txids, 1u);
+  EXPECT_EQ(db_.GetVersion("a"), (proto::Version{1, 0}));
+  EXPECT_EQ(db_.GetVersion("b"), (proto::Version{1, 5}));
+  EXPECT_EQ(db_.GetVersion("c"), proto::kNilVersion);
+  EXPECT_EQ(db_.GetVersion("d"), (proto::Version{1, 2}));
 }
 
 TEST_F(PeerFixture, ReorderedScheduleCommitsMoreThanArrivalOrder) {

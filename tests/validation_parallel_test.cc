@@ -199,8 +199,7 @@ TEST(ValidatorConcurrencyTest, VerifyStageIdenticalAcrossWorkerCounts) {
 /// ReorderStats is included precisely to pin down that it no longer carries
 /// any.
 std::pair<std::string, std::vector<crypto::Digest>> RunFingerprint(
-    uint32_t workers, bool with_faults, uint32_t commit_workers = 1,
-    bool ship_schedule = false, uint32_t num_channels = 1) {
+    uint32_t workers, bool with_faults, uint32_t num_channels = 1) {
   workload::SmallbankConfig wl_config;
   wl_config.num_users = 500;
   wl_config.channel_shards = num_channels;  // One tenant shard per channel.
@@ -211,8 +210,6 @@ std::pair<std::string, std::vector<crypto::Digest>> RunFingerprint(
   config.client_fire_rate_tps = 150;
   config.seed = 1234;
   config.validator_workers = workers;
-  config.commit_workers = commit_workers;
-  config.ship_commit_schedule = ship_schedule;
   config.num_channels = num_channels;
   if (num_channels > 1) config.clients_per_channel = 2;
 
@@ -237,14 +234,6 @@ std::pair<std::string, std::vector<crypto::Digest>> RunFingerprint(
     EXPECT_EQ(network.validator_pool()->parallelism(), workers);
   } else {
     EXPECT_EQ(network.validator_pool(), nullptr);
-  }
-  if (commit_workers > 1) {
-    EXPECT_NE(network.commit_pool(), nullptr);
-    EXPECT_EQ(network.commit_pool()->parallelism(), commit_workers);
-    // The wave path actually executed on the observer peer.
-    EXPECT_GT(network.metrics().validation_wall_clock().commit_waves, 0u);
-  } else {
-    EXPECT_EQ(network.commit_pool(), nullptr);
   }
   EXPECT_GT(network.metrics().successful(), 0u);
   EXPECT_GT(network.metrics().validation_wall_clock().blocks, 0u);
@@ -278,215 +267,20 @@ TEST(ValidationWorkersDeterminismTest, CleanRunBitIdenticalFourChannels) {
   // Four channels, each a Smallbank tenant shard: per-channel reorder stats
   // and all four chain tips must be byte-identical across worker counts.
   const auto baseline =
-      RunFingerprint(1, /*with_faults=*/false, 1, false, /*num_channels=*/4);
+      RunFingerprint(1, /*with_faults=*/false, /*num_channels=*/4);
   ASSERT_EQ(baseline.second.size(), 4u);
-  EXPECT_EQ(RunFingerprint(4, false, 1, false, 4), baseline);
-  EXPECT_EQ(RunFingerprint(8, false, 4, false, 4), baseline);
+  EXPECT_EQ(RunFingerprint(4, false, 4), baseline);
+  EXPECT_EQ(RunFingerprint(8, false, 4), baseline);
   // The shards genuinely diverge the chains (distinct key populations).
   EXPECT_NE(baseline.second[0], baseline.second[1]);
 }
 
 TEST(ValidationWorkersDeterminismTest, ChaosReplayBitIdenticalFourChannels) {
   const auto baseline =
-      RunFingerprint(1, /*with_faults=*/true, 1, false, /*num_channels=*/4);
+      RunFingerprint(1, /*with_faults=*/true, /*num_channels=*/4);
   ASSERT_EQ(baseline.second.size(), 4u);
-  EXPECT_EQ(RunFingerprint(4, true, 1, false, 4), baseline);
-  EXPECT_EQ(RunFingerprint(8, true, 4, false, 4), baseline);
-}
-
-// --- Dependency-aware commit: determinism across commit_workers ---
-
-TEST(CommitWorkersDeterminismTest, CleanRunBitIdenticalFor1_2_8Workers) {
-  // commit_workers=1 is the pre-schedule sequential loop — the baseline the
-  // wave path must reproduce byte-for-byte (report string + chain tip).
-  const auto baseline = RunFingerprint(1, /*with_faults=*/false);
-  EXPECT_EQ(RunFingerprint(1, false, /*commit_workers=*/2), baseline);
-  EXPECT_EQ(RunFingerprint(1, false, /*commit_workers=*/8), baseline);
-}
-
-TEST(CommitWorkersDeterminismTest, ChaosReplayBitIdenticalFor1_2_8Workers) {
-  const auto baseline = RunFingerprint(1, /*with_faults=*/true);
-  EXPECT_EQ(RunFingerprint(1, true, /*commit_workers=*/2), baseline);
-  EXPECT_EQ(RunFingerprint(1, true, /*commit_workers=*/8), baseline);
-}
-
-TEST(CommitWorkersDeterminismTest, BothStagesParallelMatchesSerialBaseline) {
-  // Verify and commit pools live at once (distinct kinds) — output still
-  // pinned to the fully serial run.
-  const auto baseline = RunFingerprint(1, /*with_faults=*/false);
-  EXPECT_EQ(RunFingerprint(8, false, /*commit_workers=*/8), baseline);
-}
-
-TEST(CommitWorkersDeterminismTest, ShippedScheduleBitIdenticalAcrossWorkers) {
-  // ship_commit_schedule enlarges block wire bytes, so this leg has its own
-  // (deterministic) baseline; within it, worker count and schedule source
-  // (shipped + validated vs recomputed) must not matter.
-  const auto baseline =
-      RunFingerprint(1, /*with_faults=*/false, 1, /*ship_schedule=*/true);
-  EXPECT_EQ(RunFingerprint(1, false, 2, true), baseline);
-  EXPECT_EQ(RunFingerprint(1, false, 8, true), baseline);
-}
-
-TEST(CommitWorkersDeterminismTest, ShippedScheduleChaosBitIdentical) {
-  const auto baseline =
-      RunFingerprint(1, /*with_faults=*/true, 1, /*ship_schedule=*/true);
-  EXPECT_EQ(RunFingerprint(1, true, 8, true), baseline);
-}
-
-// --- Dependency-aware commit: validator-level workload shapes ---
-
-/// Endorsed transaction with an explicit rwset (reads as {key, version},
-/// writes as plain upserts), signed over the real payload.
-proto::Transaction EndorsedTxRW(
-    uint64_t id, const std::string& policy_id,
-    std::vector<proto::ReadItem> reads, std::vector<std::string> write_keys,
-    bool tamper = false) {
-  proto::Transaction tx;
-  tx.proposal_id = id;
-  tx.client = "c";
-  tx.channel = "ch0";
-  tx.chaincode = "cc";
-  tx.policy_id = policy_id;
-  tx.rwset.reads = std::move(reads);
-  for (std::string& key : write_keys) {
-    tx.rwset.writes.push_back({std::move(key), "v" + std::to_string(id),
-                               false});
-  }
-  const Bytes payload = peer::EndorsementPayload(tx.channel, tx.chaincode,
-                                                 tx.policy_id, tx.rwset);
-  for (uint32_t o = 0; o < 2; ++o) {
-    const std::string org(1, static_cast<char>('A' + o));
-    proto::Endorsement e;
-    e.peer = org + "1";
-    e.org = org;
-    e.signature = crypto::Identity(kSeed, e.peer).Sign(payload);
-    tx.endorsements.push_back(std::move(e));
-  }
-  if (tamper) tx.rwset.writes[0].value = "evil";
-  proto::Proposal proposal;
-  proposal.proposal_id = id;
-  proposal.client = tx.client;
-  proposal.nonce = id;
-  tx.ComputeTxId(proposal);
-  return tx;
-}
-
-/// Commits `block` once sequentially and once through the wave path with
-/// `workers`, on fresh stores; expects identical codes, chain tips, and
-/// per-key versions. Returns the sequential result for shape assertions.
-peer::BlockValidationResult ExpectWaveCommitMatchesSequential(
-    proto::Block block, const std::vector<std::string>& keys,
-    uint32_t workers) {
-  peer::PolicyRegistry policies;
-  peer::EndorsementPolicy policy;
-  policy.id = "AND(A,B)";
-  policy.required_orgs = {"A", "B"};
-  (void)policies.Register(std::move(policy));
-
-  // Block 1: the first post-genesis block. Committing at number 0 would
-  // alias the genesis nil version {0, 0} and make stale reads pass.
-  block.header.number = 1;
-  block.SealDataHash();
-
-  statedb::StateDb serial_db;
-  ledger::Ledger serial_ledger;
-  block.header.previous_hash = serial_ledger.LastHash();
-  peer::Validator serial(kSeed, &policies);
-  const peer::BlockValidationResult serial_result =
-      serial.ValidateAndCommit(block, &serial_db, &serial_ledger);
-
-  ThreadPool pool(workers - 1);
-  peer::Validator parallel(kSeed, &policies);
-  parallel.set_commit_pool(&pool);
-  statedb::StateDb wave_db;
-  ledger::Ledger wave_ledger;
-  const peer::BlockValidationResult wave_result =
-      parallel.ValidateAndCommit(block, &wave_db, &wave_ledger);
-
-  EXPECT_EQ(wave_result.codes, serial_result.codes);
-  EXPECT_EQ(wave_result.num_valid, serial_result.num_valid);
-  EXPECT_EQ(wave_result.num_mvcc_conflicts, serial_result.num_mvcc_conflicts);
-  EXPECT_EQ(wave_result.num_duplicate_txids,
-            serial_result.num_duplicate_txids);
-  EXPECT_EQ(wave_ledger.LastHash(), serial_ledger.LastHash());
-  for (const std::string& key : keys) {
-    EXPECT_EQ(wave_db.GetVersion(key), serial_db.GetVersion(key)) << key;
-  }
-  EXPECT_GT(wave_result.commit_waves, 0u);
-  return wave_result;
-}
-
-TEST(CommitWorkersDeterminismTest, HotKeyBlockDegeneratesToSequentialWaves) {
-  // Every transaction reads and writes the same key: the schedule is forced
-  // to one wave per transaction, and only the first commits (the rest fail
-  // MVCC on its bump).
-  proto::Block block;
-  for (uint64_t i = 0; i < 32; ++i) {
-    block.transactions.push_back(EndorsedTxRW(
-        i, "AND(A,B)", {{"hot", proto::kNilVersion}}, {"hot"}));
-  }
-  const peer::BlockValidationResult result =
-      ExpectWaveCommitMatchesSequential(std::move(block), {"hot"}, 8);
-  EXPECT_EQ(result.commit_waves, 32u);
-  EXPECT_EQ(result.num_valid, 1u);
-  EXPECT_EQ(result.num_mvcc_conflicts, 31u);
-}
-
-TEST(CommitWorkersDeterminismTest, ConflictFreeBlockRunsAsOneWave) {
-  proto::Block block;
-  std::vector<std::string> keys;
-  for (uint64_t i = 0; i < 64; ++i) {
-    const std::string key = "k" + std::to_string(i);
-    keys.push_back(key);
-    block.transactions.push_back(
-        EndorsedTxRW(i, "AND(A,B)", {{key, proto::kNilVersion}}, {key}));
-  }
-  const peer::BlockValidationResult result =
-      ExpectWaveCommitMatchesSequential(std::move(block), keys, 8);
-  EXPECT_EQ(result.commit_waves, 1u);
-  EXPECT_EQ(result.num_valid, 64u);
-}
-
-TEST(CommitWorkersDeterminismTest, MixedConflictsDupsAndBadSignatures) {
-  // Chains (read k -> write k), cross-reads, duplicate tx ids and tampered
-  // endorsements in one block: every verdict class must agree with the
-  // sequential loop.
-  proto::Block block;
-  std::vector<std::string> keys = {"a", "b", "c", "d"};
-  block.transactions.push_back(
-      EndorsedTxRW(0, "AND(A,B)", {{"a", proto::kNilVersion}}, {"a", "b"}));
-  block.transactions.push_back(  // Reads a's pre-block version: stale.
-      EndorsedTxRW(1, "AND(A,B)", {{"a", proto::kNilVersion}}, {"c"}));
-  block.transactions.push_back(  // Reads a at its new in-block version.
-      EndorsedTxRW(2, "AND(A,B)", {{"a", proto::Version{1, 0}}}, {"d"}));
-  block.transactions.push_back(  // Tampered rwset: policy failure.
-      EndorsedTxRW(3, "AND(A,B)", {}, {"d"}, /*tamper=*/true));
-  block.transactions.push_back(  // Byte-identical to tx 0 (tx_id covers the
-      EndorsedTxRW(0, "AND(A,B)",  // proposal AND the rwset): duplicate id.
-                   {{"a", proto::kNilVersion}}, {"a", "b"}));
-  block.transactions.push_back(  // Write-write with tx 0, no read: valid.
-      EndorsedTxRW(5, "AND(A,B)", {}, {"b"}));
-  const peer::BlockValidationResult result =
-      ExpectWaveCommitMatchesSequential(std::move(block), keys, 4);
-  EXPECT_EQ(result.num_valid, 3u);
-  EXPECT_EQ(result.num_mvcc_conflicts, 1u);
-  EXPECT_EQ(result.num_policy_failures, 1u);
-  EXPECT_EQ(result.num_duplicate_txids, 1u);
-}
-
-TEST(CommitWorkersDeterminismTest, InvalidShippedScheduleIsRecomputed) {
-  // A hostile schedule that puts a dependent reader in the writer's wave
-  // must be rejected by validation and recomputed — verdicts unchanged.
-  proto::Block block;
-  block.transactions.push_back(
-      EndorsedTxRW(0, "AND(A,B)", {}, {"x"}));
-  block.transactions.push_back(
-      EndorsedTxRW(1, "AND(A,B)", {{"x", proto::Version{1, 0}}}, {"y"}));
-  block.commit_waves = {0, 0};  // Violates the write->read constraint.
-  const peer::BlockValidationResult result =
-      ExpectWaveCommitMatchesSequential(std::move(block), {"x", "y"}, 2);
-  EXPECT_EQ(result.commit_waves, 2u);
-  EXPECT_EQ(result.num_valid, 2u);
+  EXPECT_EQ(RunFingerprint(4, true, 4), baseline);
+  EXPECT_EQ(RunFingerprint(8, true, 4), baseline);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "node/wire.h"
 #include "proto/wire_format.h"
 
 namespace fabricpp::proto {
@@ -60,7 +61,6 @@ Block MakeBlock() {
   b.header.previous_hash.fill(0x11);
   b.transactions.push_back(MakeTransaction());
   b.transactions.push_back(MakeTransaction());
-  b.commit_waves = {0, 1};
   b.SealDataHash();
   return b;
 }
@@ -160,41 +160,47 @@ TEST(WireFormatTest, RoundTripProposal) {
   EXPECT_EQ(got->proposal.nonce, 0xdeadbeefu);
 }
 
+// The endorsement-reply tests go through node::EndorsementReplyToWire and
+// EndorsementReplyFromWire, the conversions both meshes use.
 TEST(WireFormatTest, RoundTripEndorsementReplyOk) {
-  EndorsementReplyMsg msg;
-  msg.client_index = 5;
-  msg.proposal_id = 42;
-  msg.ok = true;
-  msg.rwset = MakeRwset();
-  msg.endorsement.peer = "A1";
-  msg.endorsement.org = "orgA";
-  msg.endorsement.signature.signer = "A1";
-  msg.endorsement.signature.tag.fill(0x77);
+  peer::EndorsementResponse response;
+  response.rwset = MakeRwset();
+  response.endorsement.peer = "A1";
+  response.endorsement.org = "orgA";
+  response.endorsement.signature.signer = "A1";
+  response.endorsement.signature.tag.fill(0x77);
+  const EndorsementReplyMsg msg =
+      node::EndorsementReplyToWire(5, 42, response);
+  EXPECT_EQ(msg.client_index, 5u);
+  EXPECT_EQ(msg.proposal_id, 42u);
   const Frame f = RoundTrip(WireMessageType::kEndorsementReply, msg.Encode());
   ByteReader r(f.payload);
   auto got = EndorsementReplyMsg::Decode(&r);
   ASSERT_TRUE(got.ok());
   EXPECT_TRUE(got->ok);
-  EXPECT_EQ(got->rwset.reads, msg.rwset.reads);
-  EXPECT_EQ(got->rwset.writes, msg.rwset.writes);
-  EXPECT_EQ(got->endorsement.signature, msg.endorsement.signature);
+  const Result<peer::EndorsementResponse> back =
+      node::EndorsementReplyFromWire(std::move(*got));
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->rwset.reads, response.rwset.reads);
+  EXPECT_EQ(back->rwset.writes, response.rwset.writes);
+  EXPECT_EQ(back->endorsement.signature, response.endorsement.signature);
 }
 
 TEST(WireFormatTest, RoundTripEndorsementReplyError) {
-  EndorsementReplyMsg msg;
-  msg.client_index = 5;
-  msg.proposal_id = 43;
-  msg.ok = false;
-  msg.status_code = 7;
-  msg.status_message = "simulation failed: insufficient funds";
+  const std::string reason = "simulation failed: insufficient funds";
+  const EndorsementReplyMsg msg =
+      node::EndorsementReplyToWire(5, 43, Status::FailedPrecondition(reason));
   const Frame f = RoundTrip(WireMessageType::kEndorsementReply, msg.Encode());
   ByteReader r(f.payload);
   auto got = EndorsementReplyMsg::Decode(&r);
   ASSERT_TRUE(got.ok());
   EXPECT_FALSE(got->ok);
-  EXPECT_EQ(got->status_code, 7);
-  EXPECT_EQ(got->status_message, msg.status_message);
   EXPECT_TRUE(got->rwset.reads.empty());
+  const Result<peer::EndorsementResponse> back =
+      node::EndorsementReplyFromWire(std::move(*got));
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(back.status().message(), reason);
 }
 
 TEST(WireFormatTest, RoundTripBusy) {
@@ -234,7 +240,25 @@ TEST(WireFormatTest, RoundTripBlock) {
   EXPECT_EQ(got->block.header.number, 7u);
   EXPECT_EQ(got->block.header.Hash(), msg.block.header.Hash());
   EXPECT_EQ(got->block.transactions.size(), 2u);
-  EXPECT_EQ(got->block.commit_waves, msg.block.commit_waves);
+
+  // A block decodes only from exactly its own bytes. The second tail is
+  // the tagged commit-schedule section (tag 0xC5, count, one wave per
+  // transaction) that older encoders could append.
+  const Bytes encoded = msg.block.Encode();
+  for (const Bytes& tail : {Bytes{0x00}, Bytes{0xC5, 0x02, 0x00, 0x01}}) {
+    Bytes bytes = encoded;
+    bytes.insert(bytes.end(), tail.begin(), tail.end());
+    ByteReader br(bytes);
+    EXPECT_EQ(Block::Decode(&br).status().code(), StatusCode::kDataLoss);
+    // Inside a BLOCK message the tail sits within the length-framed block
+    // bytes, so the message is refused too.
+    Bytes payload;
+    ByteWriter w(&payload);
+    w.PutU32(0);
+    w.PutBytes(bytes);
+    ByteReader mr(payload);
+    EXPECT_EQ(BlockMsg::Decode(&mr).status().code(), StatusCode::kDataLoss);
+  }
 }
 
 TEST(WireFormatTest, RoundTripChainInfoAndBlockRequest) {

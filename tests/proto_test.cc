@@ -207,5 +207,39 @@ TEST(BlockTest, ByteSizeGrowsWithTransactions) {
   EXPECT_GT(full.ByteSize(), empty.ByteSize());
 }
 
+// Blocks once carried an optional commit-schedule section after the
+// transactions (tag 0xC5, a wave count, one wave per transaction). The
+// encoding has no trailing section now, so any tail — an unknown tag or
+// that old section — is refused, as is a block chopped short.
+TEST(CommitScheduleTest, DecodeRejectsMalformedTrailingSection) {
+  Block block;
+  block.header.number = 3;
+  for (int i = 0; i < 2; ++i) {
+    Transaction tx = SampleTransaction();
+    tx.proposal_id = i;
+    block.transactions.push_back(tx);
+  }
+  block.SealDataHash();
+  const Bytes encoded = block.Encode();
+
+  Bytes bad_tag = encoded;
+  bad_tag.push_back(0x11);
+  ByteReader bad_tag_reader(bad_tag);
+  EXPECT_EQ(Block::Decode(&bad_tag_reader).status().code(),
+            StatusCode::kDataLoss);
+
+  Bytes old_schedule = encoded;
+  const Bytes section{0xC5, 0x02, 0x00, 0x01};
+  old_schedule.insert(old_schedule.end(), section.begin(), section.end());
+  ByteReader old_schedule_reader(old_schedule);
+  EXPECT_EQ(Block::Decode(&old_schedule_reader).status().code(),
+            StatusCode::kDataLoss);
+
+  Bytes truncated = encoded;
+  truncated.pop_back();
+  ByteReader chopped(truncated);
+  EXPECT_FALSE(Block::Decode(&chopped).ok());
+}
+
 }  // namespace
 }  // namespace fabricpp::proto

@@ -1,10 +1,9 @@
 // google-benchmark timings of the reordering pipeline's stages (ablation of
 // the design choices in DESIGN.md §5 and §10): conflict-graph construction
-// (sparse inverted-index vs the paper's dense bit-vector build, serial vs
-// sharded-parallel), Tarjan SCC decomposition, Johnson cycle enumeration,
-// schedule generation (including the 10k-transaction regression guards for
-// the linear-time rewrite), the end-to-end reorder pass at worker counts
-// 1/2/4, and the hot Smallbank batches where the cycle budget trips.
+// (sparse inverted-index vs the paper's dense bit-vector build), Tarjan SCC
+// decomposition, Johnson cycle enumeration, schedule generation (including
+// the 10k-transaction regression guards for the linear-time rewrite), and
+// the hot Smallbank batches where the cycle budget trips.
 //
 // `--smoke` (used by CI) shortens every measurement to 0.05s so the binary
 // doubles as a build-and-run sanity check emitting BENCH_reorder.json.
@@ -16,7 +15,6 @@
 
 #include "common/rng.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "ordering/conflict_graph.h"
 #include "ordering/johnson.h"
 #include "ordering/reorderer.h"
@@ -147,43 +145,6 @@ void BM_ScheduleAcyclic(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScheduleAcyclic)->Arg(256)->Arg(1024);
-
-// --- Parallel reorder engine (DESIGN.md §10) ---
-
-void BM_ConflictGraphParallel(benchmark::State& state) {
-  // Sharded parallel build at `range(1)`-way parallelism; range(1) == 1
-  // is the serial baseline for the scaling table in EXPERIMENTS.md.
-  const auto sets =
-      MakeBatch(static_cast<uint32_t>(state.range(0)), 4096, 4);
-  const auto rwsets = workload::AsPointers(sets);
-  const uint32_t workers = static_cast<uint32_t>(state.range(1));
-  ThreadPool pool(workers - 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ConflictGraph::Build(rwsets, workers > 1 ? &pool : nullptr));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ConflictGraphParallel)
-    ->ArgsProduct({{512, 2048}, {1, 2, 4}});
-
-void BM_ReorderEndToEndParallel(benchmark::State& state) {
-  // Full pass (graph build + SCC enumeration fan-out) at range(1)-way
-  // parallelism over a cycle-heavy batch, so the per-SCC enumeration
-  // tasks dominate and actually exercise the worker pool.
-  const auto sets = workload::MakeCycleSequence(
-      static_cast<uint32_t>(state.range(0)), 16);
-  const auto rwsets = workload::AsPointers(sets);
-  const uint32_t workers = static_cast<uint32_t>(state.range(1));
-  ThreadPool pool(workers - 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ReorderTransactions(rwsets, {}, workers > 1 ? &pool : nullptr));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ReorderEndToEndParallel)
-    ->ArgsProduct({{512, 2048}, {1, 2, 4}});
 
 // --- ScheduleAcyclic linear-time regression guards ---
 //

@@ -12,9 +12,8 @@
 namespace fabricpp {
 
 /// A reusable fork-join worker pool for fanning out pure, independent work
-/// items (e.g. per-transaction signature verification in the validator's
-/// verify stage, or per-shard rwset scans and per-SCC cycle enumeration in
-/// the orderer's reorder engine).
+/// items (per-transaction signature verification in the validator's verify
+/// stage).
 ///
 /// Design constraints, in order:
 ///  1. **Determinism.** ParallelFor runs `fn(i)` exactly once for every
@@ -33,10 +32,10 @@ namespace fabricpp {
 ///     parallelism.
 ///
 /// ParallelFor is not reentrant and must not be called from two threads at
-/// once (the validator serializes blocks and the orderer's reorder passes
-/// run one at a time on the simulation thread; each of the two users gets
-/// its own pool — FabricNetwork::validator_pool() / reorder_pool() — so
-/// neither can re-enter the other's fan-out).
+/// once. Its one user, the validator's verify stage, serializes blocks; the
+/// simulation runtime shares one pool among its validators
+/// (FabricNetwork::validator_pool()) because its event loop runs one block
+/// at a time, and the thread runtime gives each validator its own.
 class ThreadPool {
  public:
   /// Spawns `extra_threads` worker threads (0 is valid: everything then

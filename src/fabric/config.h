@@ -12,7 +12,6 @@
 #include "runtime/runtime.h"
 #include "sim/network.h"
 #include "sim/time.h"
-#include "storage/db.h"
 
 namespace fabricpp::fabric {
 
@@ -163,14 +162,6 @@ struct FabricConfig {
   /// output (validation codes, metrics, chain hashes) is byte-identical for
   /// any value. Must be in [1, 256].
   uint32_t validator_workers = 1;
-  /// Host threads running the orderer's *real* reordering work (conflict
-  /// graph build + per-SCC cycle enumeration), counting the calling thread:
-  /// 1 = fully serial, N = the engine fans out N-wide on a dedicated
-  /// ThreadPool shared via FabricNetwork::reorder_pool(). Same contract as
-  /// validator_workers: wall-clock acceleration only — the ReorderResult
-  /// (order, aborted set, stats) is byte-identical for any value. Must be
-  /// in [1, 256].
-  uint32_t reorder_workers = 1;
   /// Bound on orderer batches simultaneously inside the reorder stage per
   /// channel (the single-producer pipeline between block cutting and
   /// consensus submission). 1 reproduces the strictly serial seed behavior:
@@ -255,36 +246,6 @@ struct FabricConfig {
   /// runtime_mode resolved to the enum. Call Validate() first; an
   /// unparseable mode falls back to kSim here.
   runtime::RuntimeMode RuntimeModeOrDefault() const;
-
-  // --- Storage (persistent state database) ---
-  /// WAL durability of the LSM state store: "none" (leave syncing to the
-  /// OS), "block" (group commit — one fsync per committed block batch; the
-  /// default, matching Fabric's fsync'd block append), or "every_write"
-  /// (fsync each WAL record, the slow per-key baseline). Parsed by
-  /// storage::ParseWalSyncMode; Validate() rejects anything else.
-  std::string storage_sync_mode = "block";
-  /// Block-cache budget for SSTable data blocks in bytes (sharded LRU;
-  /// see storage::BlockCache). 0 disables the cache. Must be <= 1 GiB.
-  uint64_t storage_block_cache_bytes = 4ull << 20;
-  /// Snapshot the state database every N committed blocks (0 = never).
-  /// When > 0, checkpoint_dir must name the directory snapshots live in;
-  /// restart then recovers from the newest valid checkpoint plus the WAL
-  /// tail instead of replaying the whole log.
-  uint32_t checkpoint_interval_blocks = 0;
-  std::string checkpoint_dir;
-  /// Prune ledger blocks below the newest state checkpoint, retaining at
-  /// least this many trailing blocks. 0 = retain everything (the default:
-  /// a blockchain forgets nothing unless explicitly told to). When > 0,
-  /// checkpointing must be enabled — the checkpoint is what makes the
-  /// pruned prefix recoverable-without-replay.
-  uint32_t ledger_retain_blocks = 0;
-
-  /// Storage-engine options with storage_sync_mode and the checkpoint /
-  /// cache knobs resolved — what benches, tools, and durability tests
-  /// should pass to PersistentStateDb::Open. Call Validate() first: an
-  /// unparseable storage_sync_mode here is a programming error (Validate
-  /// rejects it) and aborts loudly instead of silently defaulting.
-  storage::DbOptions StorageOptions() const;
 
   CostModel cost;
   uint64_t seed = 42;

@@ -178,8 +178,6 @@ Result<DeploymentConfig> ParseDeploymentText(const std::string& text) {
       s = ParseU32(key, value, &config.client_machine_cores);
     } else if (key == "validator_workers") {
       s = ParseU32(key, value, &config.validator_workers);
-    } else if (key == "reorder_workers") {
-      s = ParseU32(key, value, &config.reorder_workers);
     } else if (key == "ordering_pipeline_depth") {
       s = ParseU32(key, value, &config.ordering_pipeline_depth);
     } else if (key == "block_max_transactions") {

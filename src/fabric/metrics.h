@@ -140,8 +140,7 @@ struct ReorderWallClock {
   uint64_t batches = 0;     ///< Reordering passes measured.
   uint64_t elapsed_us = 0;  ///< Total host microseconds across passes.
   // Per-stage split of elapsed_us (graph build / SCC + cycle enumeration /
-  // cycle breaking / schedule generation) — the reorder_workers pool
-  // accelerates the first two; benches report the split.
+  // cycle breaking / schedule generation); benches report the split.
   uint64_t build_us = 0;
   uint64_t enumerate_us = 0;
   uint64_t break_us = 0;

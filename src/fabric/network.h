@@ -139,16 +139,8 @@ class FabricNetwork {
   /// where each peer's validator owns a pool instead). Workers accelerate
   /// wall-clock crypto only — never virtual time or validation outcomes.
   ThreadPool* validator_pool() {
-    return SharedPool(runtime::PoolKind::kValidator, config_.validator_workers);
-  }
-
-  /// Pool running the orderer's real reordering work (null when
-  /// reorder_workers == 1). Separate from validator_pool: ParallelFor is
-  /// not reentrant, and the validator may be mid-fan-out on the same host
-  /// thread's call stack when a reorder pass runs. Same determinism
-  /// contract: wall-clock acceleration only.
-  ThreadPool* reorder_pool() {
-    return SharedPool(runtime::PoolKind::kReorder, config_.reorder_workers);
+    return sim_ == nullptr ? nullptr
+                           : sim_->RequestPool(config_.validator_workers);
   }
 
   size_t num_peers() const { return slice_.num_peers(); }
@@ -168,11 +160,6 @@ class FabricNetwork {
   /// The orderer's Raft backend (nullptr: solo), built for the slice right
   /// after the orderer.
   node::ConsensusService* MakeConsensus(node::OrdererNode& orderer);
-  /// The pool of `kind` the sim runtime shares among the nodes that
-  /// requested it (on threads each node owns its pools: null).
-  ThreadPool* SharedPool(runtime::PoolKind kind, uint32_t workers) {
-    return sim_ == nullptr ? nullptr : sim_->RequestPool(kind, workers);
-  }
 
   FabricConfig config_;
   const workload::Workload* workload_;

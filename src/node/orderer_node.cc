@@ -20,15 +20,12 @@ OrdererNode::OrdererNode(const NodeContext& ctx)
     : ctx_(ctx),
       endpoint_(&ctx.runtime->AddEndpoint("orderer")),
       cpu_(&ctx.runtime->AddExecutor(*endpoint_, "orderer-cpu",
-                                     ctx.config->orderer_cores)),
-      reorder_pool_(ctx.runtime->RequestPool(runtime::PoolKind::kReorder,
-                                             ctx.config->reorder_workers)) {
+                                     ctx.config->orderer_cores)) {
   // Lane 0 is the primary context; extra lanes (thread runtime,
-  // multi-channel) each get their own endpoint thread, executor, and
-  // reorder pool so channels stop serializing on one mailbox.
+  // multi-channel) each get their own endpoint thread and executor so
+  // channels stop serializing on one mailbox.
   lane_endpoints_.push_back(endpoint_);
   lane_cpus_.push_back(cpu_);
-  lane_reorder_pools_.push_back(reorder_pool_);
   const uint32_t lanes = ChannelLaneCount(*ctx.config, ctx.runtime->mode());
   for (uint32_t lane = 1; lane < lanes; ++lane) {
     runtime::Endpoint& ep =
@@ -37,8 +34,6 @@ OrdererNode::OrdererNode(const NodeContext& ctx)
     lane_cpus_.push_back(&ctx.runtime->AddExecutor(
         ep, StrFormat("orderer-lane-%u-cpu", lane),
         ctx.config->orderer_cores));
-    lane_reorder_pools_.push_back(ctx.runtime->RequestPool(
-        runtime::PoolKind::kReorder, ctx.config->reorder_workers));
   }
   const crypto::Digest genesis_hash = ledger::Ledger().LastHash();
   FairScheduler::Options admission;
@@ -254,8 +249,8 @@ void OrdererNode::ProcessBatch(uint32_t channel, ordering::Batch batch) {
     std::vector<const proto::ReadWriteSet*> rwsets;
     rwsets.reserve(survivors.size());
     for (const uint32_t i : survivors) rwsets.push_back(&txs[i].rwset);
-    ordering::ReorderResult reorder = ordering::ReorderTransactions(
-        rwsets, cfg.reorder, reorder_pool_for(channel));
+    ordering::ReorderResult reorder =
+        ordering::ReorderTransactions(rwsets, cfg.reorder);
     channels_[channel].last_reorder_stats = reorder.stats;
     // Wall-clock of the pass goes to the measurement side of Metrics, never
     // into the deterministic stats/report (same rule as validation timings).

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "crypto/sha256.h"
 #include "node/consensus.h"
 #include "node/fair_scheduler.h"
@@ -164,7 +163,7 @@ class OrdererNode {
   fabric::Metrics& metrics() { return *ctx_.metrics; }
   runtime::Transport& transport() { return ctx_.runtime->transport(); }
 
-  // --- Per-lane context (index 0 is the primary endpoint/cpu/pool) ---
+  // --- Per-lane context (index 0 is the primary endpoint/cpu) ---
   uint32_t lane_for(uint32_t channel) const {
     return channel % static_cast<uint32_t>(lane_endpoints_.size());
   }
@@ -174,19 +173,13 @@ class OrdererNode {
   runtime::Executor& cpu_for(uint32_t channel) {
     return *lane_cpus_[lane_for(channel)];
   }
-  ThreadPool* reorder_pool_for(uint32_t channel) {
-    return lane_reorder_pools_[lane_for(channel)];
-  }
 
   NodeContext ctx_;
   runtime::Endpoint* endpoint_;
   runtime::Executor* cpu_;
-  /// Pool running the real reordering work (null when reorder_workers == 1).
-  ThreadPool* reorder_pool_;
-  /// Lane contexts; [0] aliases the primary endpoint_/cpu_/reorder_pool_.
+  /// Lane contexts; [0] aliases the primary endpoint_/cpu_.
   std::vector<runtime::Endpoint*> lane_endpoints_;
   std::vector<runtime::Executor*> lane_cpus_;
-  std::vector<ThreadPool*> lane_reorder_pools_;
   ConsensusService* consensus_ = nullptr;
   std::vector<ChannelState> channels_;
   /// Atomic: lanes cut blocks concurrently under the thread runtime.

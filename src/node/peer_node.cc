@@ -23,8 +23,7 @@ PeerNode::PeerNode(const NodeContext& ctx, uint32_t index, std::string name,
                                      ctx.config->peer_cores)),
       endorser_(name_, org_, ctx.config->seed, ctx.registry),
       validator_(ctx.config->seed, ctx.policies,
-                 ctx.runtime->RequestPool(runtime::PoolKind::kValidator,
-                                          ctx.config->validator_workers)),
+                 ctx.runtime->RequestPool(ctx.config->validator_workers)),
       channels_(ctx.config->num_channels) {
   // Lane 0 is the primary context; extra lanes (thread runtime,
   // multi-channel) each get their own endpoint thread, executor, and
@@ -43,8 +42,7 @@ PeerNode::PeerNode(const NodeContext& ctx, uint32_t index, std::string name,
         ctx.config->peer_cores));
     auto validator = std::make_unique<peer::Validator>(
         ctx.config->seed, ctx.policies,
-        ctx.runtime->RequestPool(runtime::PoolKind::kValidator,
-                                 ctx.config->validator_workers));
+        ctx.runtime->RequestPool(ctx.config->validator_workers));
     extra_validators_.push_back(std::move(validator));
   }
 }

@@ -2,41 +2,15 @@
 
 #include <algorithm>
 
-#include "common/thread_pool.h"
-
 namespace fabricpp::ordering {
 
-namespace {
-
-/// What one worker extracts from its contiguous transaction shard: a local
-/// key dictionary plus the shard's slice of the inverted index. Local key
-/// ids are in shard-local first-seen order; the merge below renumbers them
-/// into the global first-seen order.
-struct ShardScan {
-  KeyDictionary dict;
-  std::vector<std::string_view> keys;  ///< local id -> key.
-  std::vector<std::vector<uint32_t>> readers;  ///< local id -> global tx ids.
-  std::vector<std::vector<uint32_t>> writers;
-  /// Per transaction (shard offset), the local ids of the keys it writes —
-  /// kept so edge generation can run per-transaction without re-hashing.
-  std::vector<std::vector<uint32_t>> tx_write_keys;
-};
-
-}  // namespace
-
-void ConflictGraph::Finalize(ThreadPool* pool) {
-  auto sort_one = [this](size_t i) {
-    auto& c = children_[i];
+void ConflictGraph::Finalize() {
+  num_edges_ = 0;
+  for (auto& c : children_) {
     std::sort(c.begin(), c.end());
     c.erase(std::unique(c.begin(), c.end()), c.end());
-  };
-  if (pool != nullptr && pool->parallelism() > 1 && children_.size() > 1) {
-    pool->ParallelFor(children_.size(), sort_one);
-  } else {
-    for (size_t i = 0; i < children_.size(); ++i) sort_one(i);
+    num_edges_ += c.size();
   }
-  num_edges_ = 0;
-  for (const auto& c : children_) num_edges_ += c.size();
   parents_.assign(children_.size(), {});
   for (uint32_t i = 0; i < children_.size(); ++i) {
     for (const uint32_t j : children_[i]) parents_[j].push_back(i);
@@ -45,132 +19,45 @@ void ConflictGraph::Finalize(ThreadPool* pool) {
 }
 
 ConflictGraph ConflictGraph::Build(
-    const std::vector<const proto::ReadWriteSet*>& rwsets, ThreadPool* pool) {
+    const std::vector<const proto::ReadWriteSet*>& rwsets) {
   ConflictGraph g;
   const uint32_t n = static_cast<uint32_t>(rwsets.size());
   g.children_.assign(n, {});
 
-  const uint32_t shards =
-      pool == nullptr ? 1 : std::min<uint32_t>(pool->parallelism(), n);
-
-  if (shards <= 1) {
-    // Serial path (also the reference the parallel path must match).
-    KeyDictionary dict;
-    std::vector<std::vector<uint32_t>> readers;
-    std::vector<std::vector<uint32_t>> writers;
-    auto ensure = [&](uint32_t key_id) {
-      if (key_id >= readers.size()) {
-        readers.resize(key_id + 1);
-        writers.resize(key_id + 1);
-      }
-    };
-    for (uint32_t i = 0; i < n; ++i) {
-      for (const proto::ReadItem& r : rwsets[i]->reads) {
-        const uint32_t k = dict.Intern(r.key);
-        ensure(k);
-        readers[k].push_back(i);
-      }
-      for (const proto::WriteItem& w : rwsets[i]->writes) {
-        const uint32_t k = dict.Intern(w.key);
-        ensure(k);
-        writers[k].push_back(i);
-      }
-    }
-    g.num_unique_keys_ = dict.size();
-
-    for (uint32_t k = 0; k < readers.size(); ++k) {
-      if (readers[k].empty() || writers[k].empty()) continue;
-      for (const uint32_t w : writers[k]) {
-        for (const uint32_t r : readers[k]) {
-          if (w != r) g.children_[w].push_back(r);
-        }
-      }
-    }
-    g.Finalize();
-    return g;
-  }
-
-  // --- Parallel build ---
-  //
-  // Phase 1 (parallel): each worker scans a contiguous transaction range
-  // into a private dictionary + inverted index. No shared state.
-  const uint32_t per_shard = (n + shards - 1) / shards;
-  auto shard_begin = [&](uint32_t s) { return std::min(n, s * per_shard); };
-  std::vector<ShardScan> scans(shards);
-  pool->ParallelFor(shards, [&](size_t s) {
-    ShardScan& scan = scans[s];
-    const uint32_t begin = shard_begin(static_cast<uint32_t>(s));
-    const uint32_t end = shard_begin(static_cast<uint32_t>(s) + 1);
-    scan.tx_write_keys.resize(end - begin);
-    auto intern = [&scan](std::string_view key) {
-      const uint32_t k = scan.dict.Intern(key);
-      if (k == scan.keys.size()) {
-        scan.keys.push_back(key);
-        scan.readers.emplace_back();
-        scan.writers.emplace_back();
-      }
-      return k;
-    };
-    for (uint32_t i = begin; i < end; ++i) {
-      for (const proto::ReadItem& r : rwsets[i]->reads) {
-        scan.readers[intern(r.key)].push_back(i);
-      }
-      for (const proto::WriteItem& w : rwsets[i]->writes) {
-        const uint32_t k = intern(w.key);
-        scan.writers[k].push_back(i);
-        scan.tx_write_keys[i - begin].push_back(k);
-      }
-    }
-  });
-
-  // Phase 2 (serial, the deterministic merge boundary): renumber the shard
-  // dictionaries into one global dictionary, visiting shards in transaction
-  // order. A key's global id is therefore its batch-wide first-seen rank and
-  // the concatenated reader/writer lists stay ascending — byte-identical to
-  // the serial build, independent of how phase 1's workers interleaved.
+  // Inverted index: key id -> the transactions reading / writing it, each
+  // list ascending because transactions are scanned in batch order.
   KeyDictionary dict;
   std::vector<std::vector<uint32_t>> readers;
   std::vector<std::vector<uint32_t>> writers;
-  std::vector<std::vector<uint32_t>> local_to_global(shards);
-  for (uint32_t s = 0; s < shards; ++s) {
-    ShardScan& scan = scans[s];
-    local_to_global[s].resize(scan.keys.size());
-    for (uint32_t l = 0; l < scan.keys.size(); ++l) {
-      const uint32_t k = dict.Intern(scan.keys[l]);
-      local_to_global[s][l] = k;
-      if (k >= readers.size()) {
-        readers.resize(k + 1);
-        writers.resize(k + 1);
-      }
-      auto append = [](std::vector<uint32_t>* dst, std::vector<uint32_t>* src) {
-        if (dst->empty()) {
-          *dst = std::move(*src);
-        } else {
-          dst->insert(dst->end(), src->begin(), src->end());
-        }
-      };
-      append(&readers[k], &scan.readers[l]);
-      append(&writers[k], &scan.writers[l]);
+  auto ensure = [&](uint32_t key_id) {
+    if (key_id >= readers.size()) {
+      readers.resize(key_id + 1);
+      writers.resize(key_id + 1);
+    }
+  };
+  for (uint32_t i = 0; i < n; ++i) {
+    for (const proto::ReadItem& r : rwsets[i]->reads) {
+      const uint32_t k = dict.Intern(r.key);
+      ensure(k);
+      readers[k].push_back(i);
+    }
+    for (const proto::WriteItem& w : rwsets[i]->writes) {
+      const uint32_t k = dict.Intern(w.key);
+      ensure(k);
+      writers[k].push_back(i);
     }
   }
   g.num_unique_keys_ = dict.size();
 
-  // Phase 3 (parallel): edge generation. Each worker owns the adjacency of
-  // its own transaction range, reading the now-immutable inverted index.
-  pool->ParallelFor(shards, [&](size_t s) {
-    const ShardScan& scan = scans[s];
-    const uint32_t begin = shard_begin(static_cast<uint32_t>(s));
-    const uint32_t end = shard_begin(static_cast<uint32_t>(s) + 1);
-    for (uint32_t i = begin; i < end; ++i) {
-      for (const uint32_t l : scan.tx_write_keys[i - begin]) {
-        for (const uint32_t r : readers[local_to_global[s][l]]) {
-          if (r != i) g.children_[i].push_back(r);
-        }
+  for (uint32_t k = 0; k < readers.size(); ++k) {
+    if (readers[k].empty() || writers[k].empty()) continue;
+    for (const uint32_t w : writers[k]) {
+      for (const uint32_t r : readers[k]) {
+        if (w != r) g.children_[w].push_back(r);
       }
     }
-  });
-
-  g.Finalize(pool);
+  }
+  g.Finalize();
   return g;
 }
 

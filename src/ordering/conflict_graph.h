@@ -8,10 +8,6 @@
 
 #include "proto/rwset.h"
 
-namespace fabricpp {
-class ThreadPool;
-}  // namespace fabricpp
-
 namespace fabricpp::ordering {
 
 /// Assigns a dense index to every distinct key in a batch, in first-seen
@@ -55,16 +51,8 @@ class ConflictGraph {
  public:
   /// Builds the graph from the batch's read/write sets (not owned; they
   /// must outlive the call — key interning borrows their storage).
-  ///
-  /// With a non-null `pool`, the rwset scan, edge generation and adjacency
-  /// finalization fan out across its workers. The transaction range is
-  /// sharded contiguously and the per-shard key dictionaries are merged in
-  /// shard order, so key ids, inverted-index entries and the resulting
-  /// adjacency are byte-identical to the serial build for any worker count
-  /// (see DESIGN.md §10 on the deterministic merge boundary).
   static ConflictGraph Build(
-      const std::vector<const proto::ReadWriteSet*>& rwsets,
-      ThreadPool* pool = nullptr);
+      const std::vector<const proto::ReadWriteSet*>& rwsets);
 
   /// Reference n^2 bit-vector construction (paper §5.1 step 1).
   static ConflictGraph BuildDense(
@@ -87,7 +75,8 @@ class ConflictGraph {
 
  private:
   ConflictGraph() = default;
-  void Finalize(ThreadPool* pool = nullptr);
+  /// Sorts and dedups each child list, counts edges, derives parents.
+  void Finalize();
 
   std::vector<std::vector<uint32_t>> children_;
   std::vector<std::vector<uint32_t>> parents_;

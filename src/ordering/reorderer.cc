@@ -5,7 +5,6 @@
 #include <numeric>
 #include <queue>
 
-#include "common/thread_pool.h"
 #include "ordering/alive_graph.h"
 #include "ordering/johnson.h"
 #include "ordering/tarjan.h"
@@ -26,11 +25,10 @@ uint64_t MicrosSince(std::chrono::steady_clock::time_point* mark) {
 /// Splits the round's cycle budget across its non-trivial SCCs up front:
 /// proportional to SCC size, allocated largest-SCC-first (ties to the one
 /// with the smallest member), at least one cycle per SCC while budget
-/// remains, leftover to the largest. Fixed shares make each SCC's
-/// enumeration independent of the others — the precondition for running
-/// them as parallel tasks without changing the joined cycle list. (The old
-/// sequential greedy hand-off gave SCC k whatever SCCs 0..k-1 left over,
-/// which would differ under any reordering of completion.)
+/// remains, leftover to the largest. The shares decide which cycles a
+/// budget-limited round finds, so they are part of the ReorderResult
+/// contract: each SCC's enumeration depends only on its own share, never
+/// on how many cycles the SCCs before it happened to find.
 std::vector<uint64_t> PartitionCycleBudget(
     const std::vector<std::vector<uint32_t>>& sccs, uint64_t budget) {
   std::vector<uint64_t> share(sccs.size(), 0);
@@ -234,16 +232,15 @@ std::vector<uint32_t> ScheduleAcyclic(const ConflictGraph& graph,
 
 ReorderResult ReorderTransactions(
     const std::vector<const proto::ReadWriteSet*>& rwsets,
-    const ReorderConfig& config, ThreadPool* pool) {
+    const ReorderConfig& config) {
   const auto t0 = std::chrono::steady_clock::now();
   auto mark = t0;
   ReorderResult result;
   const size_t n = rwsets.size();
   result.stats.num_transactions = n;
 
-  // Step 1: conflict graph (sharded scan + deterministic merge when a pool
-  // is supplied).
-  const ConflictGraph graph = ConflictGraph::Build(rwsets, pool);
+  // Step 1: conflict graph.
+  const ConflictGraph graph = ConflictGraph::Build(rwsets);
   result.stats.num_edges = graph.num_edges();
   result.stats.num_unique_keys = graph.num_unique_keys();
   result.stage_wall.build_us += MicrosSince(&mark);
@@ -269,25 +266,16 @@ ReorderResult ReorderTransactions(
       break;
     }
 
-    // Step 2: elementary cycles of every strongly connected subgraph, with
-    // the round budget partitioned up front so each SCC enumerates
-    // independently (in parallel when a pool is supplied). Joining in SCC
-    // order reproduces the serial cycle list exactly.
+    // Step 2: elementary cycles of every strongly connected subgraph, each
+    // enumerated against its own share of the round budget and joined in
+    // SCC order.
     const std::vector<uint64_t> share =
         PartitionCycleBudget(sccs, config.max_cycles_per_round);
-    std::vector<CycleEnumeration> per_scc(sccs.size());
-    auto enumerate_one = [&](size_t i) {
-      if (share[i] > 0) {
-        per_scc[i] = FindElementaryCycles(ag.adjacency(), sccs[i], share[i]);
-      }
-    };
-    if (pool != nullptr && pool->parallelism() > 1 && sccs.size() > 1) {
-      pool->ParallelFor(sccs.size(), enumerate_one);
-    } else {
-      for (size_t i = 0; i < sccs.size(); ++i) enumerate_one(i);
-    }
     std::vector<std::vector<uint32_t>> cycles;
-    for (auto& enumeration : per_scc) {
+    for (size_t i = 0; i < sccs.size(); ++i) {
+      if (share[i] == 0) continue;
+      CycleEnumeration enumeration =
+          FindElementaryCycles(ag.adjacency(), sccs[i], share[i]);
       for (auto& c : enumeration.cycles) cycles.push_back(std::move(c));
     }
     result.stats.num_cycles_found += cycles.size();

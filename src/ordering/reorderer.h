@@ -8,10 +8,6 @@
 #include "ordering/conflict_graph.h"
 #include "proto/rwset.h"
 
-namespace fabricpp {
-class ThreadPool;
-}  // namespace fabricpp
-
 namespace fabricpp::ordering {
 
 /// Tuning knobs for the reordering mechanism.
@@ -27,9 +23,8 @@ struct ReorderConfig {
   ///
   /// The budget is partitioned across a round's non-trivial SCCs *up front*
   /// (proportional to SCC size, largest first, at least one per SCC while
-  /// any budget remains), so each SCC's enumeration is independent of the
-  /// others and can run on a worker thread without changing the joined
-  /// cycle list — see DESIGN.md §10.
+  /// any budget remains), so each SCC's enumeration depends only on its own
+  /// share — see DESIGN.md §10.
   uint64_t max_cycles_per_round = 2048;
   /// Hard cap on break-and-re-enumerate rounds; beyond it the reorderer
   /// falls back to degree-based SCC shattering, which is abort-heavier but
@@ -57,9 +52,9 @@ struct ReorderStats {
 
 /// Host wall-clock of one reordering pass, broken down by stage. Like
 /// ReorderResult::elapsed_wall_us these are real measurements: they vary
-/// run-to-run and with the worker count, and must never feed virtual time
-/// or the deterministic stats (Metrics accumulates them on its wall-clock
-/// side; the micro benches report them per stage).
+/// run-to-run and must never feed virtual time or the deterministic stats
+/// (Metrics accumulates them on its wall-clock side; the micro benches
+/// report them per stage).
 struct ReorderStageWallClock {
   uint64_t build_us = 0;      ///< Conflict-graph construction (step 1).
   uint64_t enumerate_us = 0;  ///< SCC decomposition + cycle enumeration.
@@ -100,19 +95,14 @@ struct ReorderResult {
 ///   (5) emit a serializable schedule of the survivors via the paper's
 ///       parent-chasing source traversal, inverted.
 ///
-/// With a non-null `pool`, graph construction fans out over sharded rwset
-/// scans and each SCC's cycle enumeration runs as an independent worker
-/// task; results are merged at deterministic boundaries, so the returned
-/// ReorderResult (order, aborted set, stats) is byte-identical for any
-/// worker count — the pool accelerates host wall-clock only. Must be called
-/// from one thread at a time per pool (ThreadPool::ParallelFor is not
-/// reentrant).
+/// The pass runs serially on the calling thread, as in the paper's
+/// ordering service (see DESIGN.md §10).
 ///
 /// The returned schedule is asserted against the paper's worked example
 /// (Table 3 -> T5, T1, T3, T4) in tests/ordering_test.cc.
 ReorderResult ReorderTransactions(
     const std::vector<const proto::ReadWriteSet*>& rwsets,
-    const ReorderConfig& config = {}, ThreadPool* pool = nullptr);
+    const ReorderConfig& config = {});
 
 /// Step 5 in isolation: builds a serializable schedule for an *acyclic*
 /// conflict graph restricted to `alive` (batch positions, sorted ascending).

@@ -100,15 +100,6 @@ class Transport {
                     Task on_deliver) = 0;
 };
 
-/// Fork-join worker pools for real (wall-clock-only) parallel work — the
-/// validator's signature checks and the orderer's reorder passes. Separate
-/// kinds because ThreadPool::ParallelFor is single-user: these fan-outs can
-/// be live on the same call stack and must never share a pool.
-enum class PoolKind {
-  kValidator,
-  kReorder,
-};
-
 /// Which substrate executes the node state machines.
 enum class RuntimeMode {
   /// Deterministic single-threaded discrete-event simulation: virtual time,
@@ -160,13 +151,13 @@ class Runtime {
 
   virtual TimeMicros Now() const = 0;
 
-  /// Returns a fork-join pool with `workers`-way parallelism (counting the
-  /// caller), or nullptr when workers <= 1 (serial). The single-threaded
-  /// simulation runtime shares one pool per kind across all requesters —
-  /// only one fan-out of a kind can be live at a time there; the thread
-  /// runtime returns a distinct pool per request, since requesters run
-  /// concurrently and ParallelFor is single-user.
-  virtual ThreadPool* RequestPool(PoolKind kind, uint32_t workers) = 0;
+  /// Returns a fork-join pool for the validator's signature checks with
+  /// `workers`-way parallelism (counting the caller), or nullptr when
+  /// workers <= 1 (serial). The single-threaded simulation runtime shares
+  /// one pool across all requesters — only one fan-out can be live at a
+  /// time there; the thread runtime returns a distinct pool per request,
+  /// since requesters run concurrently and ParallelFor is single-user.
+  virtual ThreadPool* RequestPool(uint32_t workers) = 0;
 };
 
 }  // namespace fabricpp::runtime

@@ -28,14 +28,14 @@ Executor& SimRuntime::AddExecutor(Endpoint& owner, const std::string& name,
   return *executors_.back();
 }
 
-ThreadPool* SimRuntime::RequestPool(PoolKind kind, uint32_t workers) {
+ThreadPool* SimRuntime::RequestPool(uint32_t workers) {
   if (workers <= 1) return nullptr;
   // The requesting thread participates in ParallelFor, so a pool with
   // `workers`-way parallelism owns workers - 1 extra threads.
-  std::unique_ptr<ThreadPool>& slot =
-      kind == PoolKind::kValidator ? validator_pool_ : reorder_pool_;
-  if (slot == nullptr) slot = std::make_unique<ThreadPool>(workers - 1);
-  return slot.get();
+  if (validator_pool_ == nullptr) {
+    validator_pool_ = std::make_unique<ThreadPool>(workers - 1);
+  }
+  return validator_pool_.get();
 }
 
 }  // namespace fabricpp::runtime

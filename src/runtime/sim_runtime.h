@@ -42,7 +42,7 @@ class SimRuntime final : public Runtime {
                         uint32_t num_servers) override;
   Transport& transport() override { return transport_; }
   TimeMicros Now() const override { return env_.Now(); }
-  ThreadPool* RequestPool(PoolKind kind, uint32_t workers) override;
+  ThreadPool* RequestPool(uint32_t workers) override;
 
  private:
   /// All endpoints share the event loop, hence one clock serves them all.
@@ -110,10 +110,9 @@ class SimRuntime final : public Runtime {
   SimTransport transport_;
   std::vector<std::unique_ptr<SimEndpoint>> endpoints_;
   std::vector<std::unique_ptr<SimExecutor>> executors_;
-  /// One shared pool per kind — the event loop is single-threaded, so at
-  /// most one fan-out of a kind is ever live (see Runtime::RequestPool).
+  /// One shared pool — the event loop is single-threaded, so at most one
+  /// fan-out is ever live (see Runtime::RequestPool).
   std::unique_ptr<ThreadPool> validator_pool_;
-  std::unique_ptr<ThreadPool> reorder_pool_;
 };
 
 }  // namespace fabricpp::runtime

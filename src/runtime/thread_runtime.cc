@@ -176,12 +176,11 @@ TimeMicros ThreadRuntime::Now() const {
   return rel <= 0 ? 0 : static_cast<TimeMicros>(rel / 1000);
 }
 
-ThreadPool* ThreadRuntime::RequestPool(PoolKind kind, uint32_t workers) {
-  (void)kind;
+ThreadPool* ThreadRuntime::RequestPool(uint32_t workers) {
   if (workers <= 1) return nullptr;
-  // Requesters (peer validators, the orderer) run concurrently here, and
-  // ThreadPool::ParallelFor is single-user — every requester gets its own
-  // pool, unlike the simulation runtime's shared one per kind.
+  // Peer validators run concurrently here, and ThreadPool::ParallelFor is
+  // single-user — every requester gets its own pool, unlike the simulation
+  // runtime's shared one.
   pools_.push_back(std::make_unique<ThreadPool>(workers - 1));
   return pools_.back().get();
 }

@@ -62,7 +62,7 @@ class ThreadRuntime final : public Runtime {
                         uint32_t num_servers) override;
   Transport& transport() override;
   TimeMicros Now() const override;
-  ThreadPool* RequestPool(PoolKind kind, uint32_t workers) override;
+  ThreadPool* RequestPool(uint32_t workers) override;
 
   // --- Run control (driven by the composition root) ---
 

@@ -325,15 +325,13 @@ TEST(ChaosTest, OverloadEndorserAdmissionShedsExplicitly) {
 
 TEST(ChaosTest, OverloadFingerprintInvariantAcrossWorkerCounts) {
   // All admission/scheduling decisions run on the orderer's endpoint
-  // context: the worker pools accelerate wall-clock crypto/reordering only
-  // and must not shift a single BUSY, commit, or block hash.
+  // context: the validator pool accelerates wall-clock crypto only and
+  // must not shift a single BUSY, commit, or block hash.
   FabricConfig config = OverloadConfig(77);
   config.fair_conflict_penalty = 8;  // Exercise the hot-key surcharge too.
   config.validator_workers = 1;
-  config.reorder_workers = 1;
   const OverloadOutcome a = RunOverload(config, 20.0);
   config.validator_workers = 4;
-  config.reorder_workers = 4;
   const OverloadOutcome b = RunOverload(config, 20.0);
 
   EXPECT_EQ(a.tip, b.tip);

@@ -68,14 +68,6 @@ TEST(ConfigValidationTest, WorkerPoolKnobs) {
   ExpectInvalid(config, "validator_workers = 257");
   config.validator_workers = 256;
   EXPECT_TRUE(config.Validate().ok());
-
-  config = Base();
-  config.reorder_workers = 0;
-  ExpectInvalid(config, "reorder_workers = 0");
-  config.reorder_workers = 257;
-  ExpectInvalid(config, "reorder_workers = 257");
-  config.reorder_workers = 256;
-  EXPECT_TRUE(config.Validate().ok());
 }
 
 TEST(ConfigValidationTest, OrderingPipelineDepth) {
@@ -204,72 +196,6 @@ TEST(ConfigValidationTest, ConsensusKnobs) {
   ExpectInvalid(config, "raft_cluster_size = 0");
   config.raft_cluster_size = 3;
   EXPECT_TRUE(config.Validate().ok());
-}
-
-TEST(ConfigValidationTest, StorageSyncMode) {
-  auto config = Base();
-  for (const char* mode : {"none", "block", "every_write"}) {
-    config.storage_sync_mode = mode;
-    EXPECT_TRUE(config.Validate().ok()) << mode;
-  }
-  config.storage_sync_mode = "fsync_sometimes";
-  ExpectInvalid(config, "unknown storage_sync_mode");
-  config.storage_sync_mode = "";
-  ExpectInvalid(config, "empty storage_sync_mode");
-}
-
-TEST(ConfigValidationDeathTest, StorageOptionsAbortsOnUnparsableSyncMode) {
-  // Regression: StorageOptions() used to silently fall back to kBlock on an
-  // unparsable mode, so a typo like "evry_write" ran with the wrong
-  // durability. It must now die loudly instead.
-  auto config = Base();
-  config.storage_sync_mode = "evry_write";
-  EXPECT_DEATH(config.StorageOptions(), "unparsable storage_sync_mode");
-}
-
-TEST(ConfigValidationTest, CheckpointAndCacheKnobs) {
-  auto config = Base();
-  // Defaults (no checkpointing, 4 MiB cache, retain-everything ledger) are
-  // valid.
-  EXPECT_TRUE(config.Validate().ok());
-
-  config.storage_block_cache_bytes = 0;  // disabling the cache is fine
-  EXPECT_TRUE(config.Validate().ok());
-  config.storage_block_cache_bytes = (1ull << 30) + 1;
-  ExpectInvalid(config, "block cache over 1 GiB");
-  config.storage_block_cache_bytes = 4 << 20;
-
-  // Interval without a directory (and vice versa) is a latent no-op or a
-  // never-written snapshot — both rejected.
-  config.checkpoint_interval_blocks = 16;
-  ExpectInvalid(config, "checkpoint interval without dir");
-  config.checkpoint_dir = "/tmp/ckpts";
-  EXPECT_TRUE(config.Validate().ok());
-  config.checkpoint_interval_blocks = 0;
-  ExpectInvalid(config, "checkpoint dir without interval");
-  config.checkpoint_interval_blocks = 16;
-
-  // Ledger pruning requires checkpointing.
-  config.ledger_retain_blocks = 100;
-  EXPECT_TRUE(config.Validate().ok());
-  config.checkpoint_interval_blocks = 0;
-  config.checkpoint_dir.clear();
-  ExpectInvalid(config, "pruning without checkpointing");
-  config.ledger_retain_blocks = 0;
-  EXPECT_TRUE(config.Validate().ok());
-}
-
-TEST(ConfigValidationTest, StorageOptionsCarriesCheckpointAndCacheKnobs) {
-  auto config = Base();
-  config.storage_block_cache_bytes = 123456;
-  config.checkpoint_interval_blocks = 8;
-  config.checkpoint_dir = "/tmp/ckpts";
-  ASSERT_TRUE(config.Validate().ok());
-  const storage::DbOptions options = config.StorageOptions();
-  EXPECT_EQ(options.block_cache_bytes, 123456u);
-  EXPECT_EQ(options.checkpoint_interval_blocks, 8u);
-  EXPECT_EQ(options.checkpoint_dir, "/tmp/ckpts");
-  EXPECT_EQ(options.sync_mode, storage::WalSyncMode::kBlock);
 }
 
 TEST(ConfigValidationTest, RuntimeMode) {

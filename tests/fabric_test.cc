@@ -70,25 +70,6 @@ TEST(FabricConfigTest, ValidateAcceptsDefaultsAndRejectsBadRetryKnobs) {
   EXPECT_FALSE(config.Validate().ok());
 }
 
-TEST(FabricConfigTest, StorageSyncModeValidatedAndResolved) {
-  FabricConfig config = FabricConfig::Vanilla();
-  for (const char* mode : {"none", "block", "every_write"}) {
-    config.storage_sync_mode = mode;
-    EXPECT_TRUE(config.Validate().ok()) << mode;
-  }
-  config.storage_sync_mode = "block";
-  EXPECT_EQ(config.StorageOptions().sync_mode,
-            storage::WalSyncMode::kBlock);
-  config.storage_sync_mode = "every_write";
-  EXPECT_EQ(config.StorageOptions().sync_mode,
-            storage::WalSyncMode::kEveryWrite);
-
-  config.storage_sync_mode = "always";
-  const Status status = config.Validate();
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("storage_sync_mode"), std::string::npos);
-}
-
 TEST(FabricNetworkTest, VanillaCommitsTransactions) {
   SmallbankWorkload workload(SmallSmallbank());
   FabricNetwork network(QuickVanilla(), &workload);

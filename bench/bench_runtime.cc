@@ -105,6 +105,7 @@ void Run() {
   fabric::RunReport socket_report;
   uint64_t chain_height = 0;
   fabric::TransportCounters transport;
+  runtime::SocketTransport::Counters socket;
   {
     fabric::LocalSocketCluster cluster(BenchConfig("socket"), &workload);
     if (!cluster.clients().WaitForCluster(15000)) {
@@ -112,6 +113,7 @@ void Run() {
       std::exit(1);
     }
     socket_report = cluster.clients().RunClients(duration, warmup);
+    socket = cluster.clients().transport().counters();
     // Blocks commit on the peer hosts; chain height comes from the
     // convergence poll, not the local report.
     for (const auto& pr : cluster.clients().CollectPeerReports(15000)) {
@@ -153,9 +155,9 @@ void Run() {
   std::fprintf(out, "  \"latency_p95_ms\": %.3f,\n",
                socket_report.latency_p95_ms);
   std::fprintf(out, "  \"socket_frames_sent\": %llu,\n",
-               static_cast<unsigned long long>(transport.socket_frames_sent));
+               static_cast<unsigned long long>(socket.frames_sent));
   std::fprintf(out, "  \"socket_bytes_sent\": %llu,\n",
-               static_cast<unsigned long long>(transport.socket_bytes_sent));
+               static_cast<unsigned long long>(socket.bytes_sent));
   std::fprintf(out, "  \"framed_bytes\": %llu,\n",
                static_cast<unsigned long long>(transport.framed_bytes));
   std::fprintf(out, "  \"modeled_bytes\": %llu\n",

@@ -106,6 +106,7 @@ int main(int argc, char** argv) {
       static_cast<fabricpp::runtime::TimeMicros>(warmup * 1e6));
   std::printf("%s\n", report.ToString().c_str());
   const auto transport = host.metrics().transport_counters();
+  const auto socket = host.transport().counters();
   std::printf("%s\n", transport.ToString().c_str());
 
   const auto peer_reports = host.CollectPeerReports(30000);
@@ -156,9 +157,8 @@ int main(int argc, char** argv) {
         << "  \"chain_height\": " << chain_height << ",\n"
         << "  \"latency_p50_ms\": " << report.latency_p50_ms << ",\n"
         << "  \"latency_p95_ms\": " << report.latency_p95_ms << ",\n"
-        << "  \"socket_frames_sent\": " << transport.socket_frames_sent
-        << ",\n"
-        << "  \"socket_reconnects\": " << transport.socket_reconnects << ",\n"
+        << "  \"socket_frames_sent\": " << socket.frames_sent << ",\n"
+        << "  \"socket_reconnects\": " << socket.reconnects << ",\n"
         << "  \"peers_reported\": " << peer_reports.size() << ",\n"
         << "  \"converged\": " << (converged ? "true" : "false") << ",\n"
         << "  \"committed\": " << (committed ? "true" : "false") << "\n"

@@ -193,17 +193,12 @@ Status FabricConfig::Validate() const {
           "runtime_mode=\"socket\" requires orderer_address: peers and "
           "clients must know where the ordering service listens");
     }
-    if (gossip_blocks) {
-      return Status::InvalidArgument(
-          "gossip_blocks is not supported under runtime_mode=\"socket\" yet "
-          "(block dissemination is orderer-direct over TCP); disable it");
-    }
     // The batch cutter cuts *after* the transaction that crosses
     // block.max_bytes, so a cut block can overshoot the bound by one
     // transaction (itself up to ~max_bytes), and the BlockMsg adds header,
-    // metadata, optional commit schedule, and framing on top. 2x + 64 KiB
-    // covers all of it; a block frame over the receiver bound would be shed
-    // at the sender (and the peer would stall waiting for it).
+    // metadata and framing on top. 2x + 64 KiB covers all of it; a block
+    // frame over the receiver bound would be shed at the sender (and the
+    // peer would stall waiting for it).
     const uint64_t frame_block_budget =
         socket_max_frame_bytes > 65536 ? (socket_max_frame_bytes - 65536) / 2
                                        : 0;

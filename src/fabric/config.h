@@ -7,8 +7,8 @@
 
 #include "common/status.h"
 #include "ordering/batch_cutter.h"
-#include "raft/raft_node.h"
 #include "ordering/reorderer.h"
+#include "raft/messages.h"
 #include "runtime/runtime.h"
 #include "sim/network.h"
 #include "sim/time.h"
@@ -185,12 +185,7 @@ struct FabricConfig {
   ordering::ReorderConfig reorder;
   OrderingBackend ordering_backend = OrderingBackend::kSolo;
   uint32_t raft_cluster_size = 3;
-  raft::RaftCluster::Params raft_params;
-  /// Block dissemination: false = the orderer ships every peer its own
-  /// copy; true = Fabric's gossip pattern (Appendix A.2 step 9) — the
-  /// orderer sends one copy per org to a leader peer, which forwards to
-  /// the org's members. Halves orderer egress for the paper's topology.
-  bool gossip_blocks = false;
+  raft::Params raft_params;
   /// How long a peer that has detected a gap in its block stream waits for
   /// the orderer's re-delivery before asking again.
   sim::SimTime peer_fetch_retry_interval = 500 * sim::kMillisecond;

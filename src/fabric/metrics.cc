@@ -63,21 +63,12 @@ std::string TransportCounters::ToString() const {
       messages == 0 ? 1.0 : static_cast<double>(messages);
   return StrFormat(
       "messages=%llu framed=%.2fMB modeled=%.2fMB framed_avg=%.1fB "
-      "modeled_avg=%.1fB socket_tx=%llu/%.2fMB socket_rx=%llu/%.2fMB "
-      "writev=%llu reconnects=%llu dropped=%llu decode_errors=%llu",
+      "modeled_avg=%.1fB",
       static_cast<unsigned long long>(messages),
       static_cast<double>(framed_bytes) / 1e6,
       static_cast<double>(modeled_bytes) / 1e6,
       static_cast<double>(framed_bytes) / messages_d,
-      static_cast<double>(modeled_bytes) / messages_d,
-      static_cast<unsigned long long>(socket_frames_sent),
-      static_cast<double>(socket_bytes_sent) / 1e6,
-      static_cast<unsigned long long>(socket_frames_received),
-      static_cast<double>(socket_bytes_received) / 1e6,
-      static_cast<unsigned long long>(socket_writev_calls),
-      static_cast<unsigned long long>(socket_reconnects),
-      static_cast<unsigned long long>(socket_messages_dropped),
-      static_cast<unsigned long long>(socket_decode_errors));
+      static_cast<double>(modeled_bytes) / messages_d);
 }
 
 std::string ValidationWallClock::ToString() const {

@@ -157,26 +157,9 @@ struct ReorderWallClock {
 /// once encoded and framed (proto/wire_format.h) — the measured replacement
 /// for the modeled constant. Sim runs leave everything zero.
 struct TransportCounters {
-  /// Array bound for per-type counters, indexed by the raw
-  /// proto::WireMessageType byte (1..12 used today).
-  static constexpr size_t kNumWireTypes = 16;
-
   uint64_t messages = 0;
   uint64_t framed_bytes = 0;   ///< Encoded payload + frame header + CRC.
   uint64_t modeled_bytes = 0;  ///< What the cost model charged instead.
-  uint64_t messages_by_type[kNumWireTypes] = {0};
-  uint64_t framed_bytes_by_type[kNumWireTypes] = {0};
-
-  // Socket event-loop totals (zero in sim/thread modes), folded in by the
-  // host after a run from runtime::SocketTransport::counters().
-  uint64_t socket_frames_sent = 0;
-  uint64_t socket_bytes_sent = 0;
-  uint64_t socket_frames_received = 0;
-  uint64_t socket_bytes_received = 0;
-  uint64_t socket_writev_calls = 0;
-  uint64_t socket_reconnects = 0;
-  uint64_t socket_messages_dropped = 0;
-  uint64_t socket_decode_errors = 0;
 
   std::string ToString() const;
 };
@@ -265,39 +248,14 @@ class Metrics {
   const ReorderWallClock& reorder_wall_clock() const { return reorder_wall_; }
 
   /// One cross-node message measured at its real framed size (thread and
-  /// socket modes; the mesh skips measuring under sim). `type` is the raw
-  /// proto::WireMessageType byte; `modeled_bytes` is what the cost model
-  /// charged for the same send. Outside RunReport — see TransportCounters.
-  void NoteWireMessage(uint8_t type, uint64_t framed_bytes,
-                       uint64_t modeled_bytes) {
+  /// socket modes; the mesh skips measuring under sim). `modeled_bytes` is
+  /// what the cost model charged for the same send. Outside RunReport —
+  /// see TransportCounters.
+  void NoteWireMessage(uint64_t framed_bytes, uint64_t modeled_bytes) {
     const std::lock_guard<std::mutex> lock(mu_);
     ++transport_counters_.messages;
     transport_counters_.framed_bytes += framed_bytes;
     transport_counters_.modeled_bytes += modeled_bytes;
-    if (type < TransportCounters::kNumWireTypes) {
-      ++transport_counters_.messages_by_type[type];
-      transport_counters_.framed_bytes_by_type[type] += framed_bytes;
-    }
-  }
-
-  /// Socket event-loop totals, folded in by the host after the run (from
-  /// runtime::SocketTransport::counters()). Leaves the mesh-level message
-  /// counters untouched.
-  void SetSocketTransportTotals(uint64_t frames_sent, uint64_t bytes_sent,
-                                uint64_t frames_received,
-                                uint64_t bytes_received,
-                                uint64_t writev_calls, uint64_t reconnects,
-                                uint64_t messages_dropped,
-                                uint64_t decode_errors) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    transport_counters_.socket_frames_sent = frames_sent;
-    transport_counters_.socket_bytes_sent = bytes_sent;
-    transport_counters_.socket_frames_received = frames_received;
-    transport_counters_.socket_bytes_received = bytes_received;
-    transport_counters_.socket_writev_calls = writev_calls;
-    transport_counters_.socket_reconnects = reconnects;
-    transport_counters_.socket_messages_dropped = messages_dropped;
-    transport_counters_.socket_decode_errors = decode_errors;
   }
 
   TransportCounters transport_counters() const {

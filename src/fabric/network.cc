@@ -47,7 +47,7 @@ FabricNetwork::FabricNetwork(FabricConfig config,
       thread_(dynamic_cast<runtime::ThreadRuntime*>(runtime_.get())),
       // LocalMesh measures real framed wire sizes on threads only; the sim
       // path must not spend host time encoding messages it never ships.
-      mesh_(&config_, &metrics_, &slice_, runtime_.get(),
+      mesh_(&metrics_, &slice_, runtime_.get(),
             /*measure_wire_bytes=*/thread_ != nullptr),
       slice_(&config_, workload_, runtime_.get(), &mesh_, &metrics_,
              SliceRoles{"network", 0,
@@ -59,19 +59,12 @@ FabricNetwork::FabricNetwork(FabricConfig config,
 node::ConsensusService* FabricNetwork::MakeConsensus(
     node::OrdererNode& orderer) {
   if (config_.ordering_backend != OrderingBackend::kRaft) return nullptr;
-  // Raft runs on both substrates: under sim the replicas share the event
-  // loop and register with the injector for chaos coverage; on threads
-  // each replica gets its own mailbox thread and commits are posted back
-  // to the committed channel's orderer lane.
-  if (sim_ != nullptr) {
-    raft_consensus_ = std::make_unique<RaftConsensus>(
-        &sim_->env(), &sim_->network(), config_);
-  } else {
-    raft_consensus_ = std::make_unique<RaftConsensus>(runtime_.get(), config_);
-    raft_consensus_->SetDeliveryEndpointResolver([&orderer](uint32_t channel) {
-      return &orderer.endpoint_for(channel);
-    });
-  }
+  // Each replica gets its own endpoint, and its commits are posted back to
+  // the committed channel's orderer lane.
+  raft_consensus_ = std::make_unique<RaftConsensus>(runtime_.get(), config_);
+  raft_consensus_->SetDeliveryEndpointResolver([&orderer](uint32_t channel) {
+    return &orderer.endpoint_for(channel);
+  });
   return raft_consensus_.get();
 }
 
@@ -105,6 +98,10 @@ sim::FaultInjector& FabricNetwork::fault_injector() {
 RunReport FabricNetwork::RunFor(sim::SimTime duration, sim::SimTime warmup) {
   if (sim_ != nullptr) {
     metrics_.SetWindow(warmup, duration);
+    // Unlike under threads, the replicas are not halted after the window:
+    // sim drivers drain with env().RunUntil, and entries still in flight
+    // must commit.
+    if (raft_consensus_ != nullptr) raft_consensus_->cluster().Start();
     for (auto& client : slice_.clients()) client->StartFiring(duration);
     sim_->env().RunUntil(duration);
     metrics_.SetNetworkFaultTotals(sim_->injector().stats().TotalDropped(),
@@ -115,7 +112,7 @@ RunReport FabricNetwork::RunFor(sim::SimTime duration, sim::SimTime warmup) {
   if (raft_consensus_ != nullptr) {
     // Election timers first: ordering stalls (and clients back off) until
     // the cluster elects its first leader, which takes one timeout.
-    hooks.start = [this]() { raft_consensus_->StartReplicas(); };
+    hooks.start = [this]() { raft_consensus_->cluster().Start(); };
     // Give in-flight consensus entries time to commit and deliver, then
     // halt the cluster: heartbeats re-arm every 50ms forever, so the drain
     // would otherwise never see an idle timer queue.
@@ -139,29 +136,13 @@ void FabricNetwork::SchedulePeerCrash(uint32_t peer_index, sim::SimTime start,
 
 void FabricNetwork::ScheduleRaftLeaderCrash(sim::SimTime at,
                                             sim::SimTime duration) {
-  if (sim_ == nullptr) {
-    // Thread runtime: the cluster schedules the kill on the replicas' own
-    // clocks (whoever believes it leads at `at` crashes itself; replica 0
-    // is the fallback). Call before RunFor — timers armed before the epoch
-    // reset still fire at the right post-epoch time.
-    if (raft_consensus_ != nullptr) {
-      raft_consensus_->ScheduleLeaderCrash(at, duration);
-    }
-    return;
+  // The kill is scheduled on the replicas' own clocks: whoever believes it
+  // leads at `at` crashes itself, replica 0 is the fallback. Under threads,
+  // call before RunFor — timers armed before the epoch reset still fire at
+  // the right post-epoch time.
+  if (raft_consensus_ != nullptr) {
+    raft_consensus_->cluster().ScheduleLeaderCrash(at, duration);
   }
-  sim_->env().ScheduleAt(at, [this, duration]() {
-    if (raft_consensus_ == nullptr) return;  // Solo backend: nothing to crash.
-    raft::RaftCluster* raft = &raft_consensus_->cluster();
-    // Whoever leads right now is the victim; with an election in progress,
-    // take replica 0 so the fault still lands deterministically.
-    const uint32_t victim = raft->FindLeader().value_or(0);
-    FABRICPP_LOG(Info) << "crashing raft leader " << victim << " at "
-                       << sim_->env().Now() / 1000 << "ms";
-    raft->node(victim).Crash();
-    sim_->env().Schedule(duration, [raft, victim]() {
-      raft->node(victim).Resume();
-    });
-  });
 }
 
 void FabricNetwork::SyncPeers() { slice_.RequestMissingBlocks(); }

@@ -42,7 +42,8 @@ using ClientNode = node::ClientNode;
 ///
 ///  - "sim" (default): every node shares one discrete-event loop on a
 ///    virtual clock. Deterministic — runs are byte-for-byte reproducible —
-///    and the full fault plan (injector, crashes, Raft) is available.
+///    and the full fault plan (injector, crashes) is available; it covers
+///    the Raft replicas' endpoints like every other node's.
 ///  - "thread": every node runs on its own OS thread with a bounded
 ///    mailbox, timers fire off a steady_clock, and messages hand off
 ///    directly between threads. Real concurrency (races surface under
@@ -102,9 +103,8 @@ class FabricNetwork {
   /// At time `at`, crashes whichever Raft replica currently leads (no-op
   /// for the solo backend) and resumes it after `duration`. The cluster
   /// elects a new leader in the meantime — ordering stalls, then recovers;
-  /// no block may be lost. Works on both substrates: virtual time under
-  /// sim; under the thread runtime the kill is scheduled on the replicas'
-  /// own clocks (call before RunFor).
+  /// no block may be lost. The kill is scheduled on the replicas' own
+  /// clocks on either runtime (under threads, call before RunFor).
   void ScheduleRaftLeaderCrash(sim::SimTime at, sim::SimTime duration);
 
   /// One-shot anti-entropy: every live peer asks the orderer for blocks it

@@ -36,37 +36,6 @@ bool RaftConsensus::DecodePayload(const Bytes& payload, BlockId* id) {
   return true;
 }
 
-RaftConsensus::RaftConsensus(sim::Environment* env, sim::Network* net,
-                             const FabricConfig& config)
-    : env_(env) {
-  raft_ = std::make_unique<raft::RaftCluster>(
-      env, config.raft_cluster_size, config.seed, config.raft_params);
-  // Register each replica with the message fabric's fault injector, so a
-  // chaos plan's loss/partitions/crashes hit consensus traffic too.
-  std::vector<sim::NodeId> raft_ids;
-  raft_ids.reserve(config.raft_cluster_size);
-  for (uint32_t i = 0; i < config.raft_cluster_size; ++i) {
-    raft_ids.push_back(net->AddNode(StrFormat("raft-%u", i)));
-  }
-  raft_->SetFaultInjector(net->fault_injector(), std::move(raft_ids));
-  raft_->Start();
-  // Deliver each block exactly once, at the earliest replica apply
-  // (monotonic index guard; replicas apply in log order). The entry's
-  // payload identifies the block — the log index cannot, because a lost
-  // entry's index gets reused by a different block after a leader crash.
-  raft_->SetCommitCallbackOnAll([this](uint64_t index, const Bytes& payload) {
-    if (index <= dispatched_) return;
-    dispatched_ = index;
-    BlockId id;
-    if (!DecodePayload(payload, &id)) return;
-    const auto it = pending_.find(id);
-    if (it == pending_.end()) return;  // Re-proposal already won.
-    Pending pending = std::move(it->second);
-    pending_.erase(it);
-    deliver_(pending.channel, std::move(pending.block), pending.block_bytes);
-  });
-}
-
 RaftConsensus::RaftConsensus(runtime::Runtime* runtime,
                              const FabricConfig& config)
     : lanes_(config.num_channels) {
@@ -78,7 +47,7 @@ RaftConsensus::RaftConsensus(runtime::Runtime* runtime,
   raft_ = std::make_unique<raft::RaftCluster>(&runtime->transport(),
                                               std::move(endpoints), config.seed,
                                               config.raft_params);
-  // Every replica reports every commit (on its own mailbox thread); the
+  // Every replica reports every commit (on its own endpoint context); the
   // report is posted to the committed channel's lane endpoint, where the
   // first arrival claims the pending entry and the rest find it gone.
   raft_->SetCommitCallbackOnAll(
@@ -88,52 +57,32 @@ RaftConsensus::RaftConsensus(runtime::Runtime* runtime,
         if (!resolver_ || id.channel >= lanes_.size()) return;
         runtime::Endpoint* lane = resolver_(id.channel);
         if (lane == nullptr) return;
-        lane->Post([this, id]() { OnThreadCommit(id); });
+        lane->Post([this, id]() { OnCommit(id); });
       });
 }
 
 void RaftConsensus::Submit(uint32_t channel,
                            std::shared_ptr<proto::Block> block,
                            uint64_t block_bytes) {
-  const BlockId id{channel, block->header.number};
-  if (env_ != nullptr) {
-    pending_[id] = Pending{channel, std::move(block), block_bytes};
-    ProposeToRaft(id, block_bytes);
-    return;
-  }
-  // Thread mode: Submit runs on the channel's lane thread, so the lane's
-  // state is single-writer by construction.
-  lanes_[channel].pending[id.number] =
+  // Submit runs on the channel's lane context, so the lane's state is
+  // single-writer by construction.
+  const uint64_t number = block->header.number;
+  lanes_[channel].pending[number] =
       Pending{channel, std::move(block), block_bytes};
-  ThreadPropose(channel, id.number, block_bytes);
+  Propose(channel, number, block_bytes);
 }
 
-void RaftConsensus::ProposeToRaft(BlockId id, uint64_t block_bytes) {
-  if (pending_.find(id) == pending_.end()) return;  // Committed.
-  // The consensus entry carries the block's identity and is padded to the
-  // block's wire size (replication cost model); the content itself is
-  // tracked out-of-band in pending_.
-  const auto index = raft_->Propose(EncodePayload(id, block_bytes));
-  // Either no leader exists (election in progress: retry soon) or the
-  // proposal was accepted — in which case it can still be lost if the
-  // leader crashes before replicating it, so check back and re-propose
-  // until the commit callback clears the pending entry.
-  const sim::SimTime retry = index.has_value() ? 500 * sim::kMillisecond
-                                               : 20 * sim::kMillisecond;
-  env_->Schedule(retry, [this, id, block_bytes]() {
-    ProposeToRaft(id, block_bytes);
-  });
-}
-
-void RaftConsensus::ThreadPropose(uint32_t channel, uint64_t number,
-                                  uint64_t block_bytes) {
+void RaftConsensus::Propose(uint32_t channel, uint64_t number,
+                            uint64_t block_bytes) {
   if (halted_.load(std::memory_order_acquire)) return;
   ChannelLane& lane = lanes_[channel];
   if (lane.pending.find(number) == lane.pending.end()) return;  // Committed.
-  // No replica-state peeking across threads: post a propose-if-leader task
-  // to every replica and let the current leader accept it. Duplicate log
-  // entries (two replicas briefly both believing, or a retry racing the
-  // commit) are deduplicated by the pending-erase on the lane thread.
+  // No replica-state peeking across endpoints: post a propose-if-leader
+  // task to every replica and let the current leader accept it. Duplicate
+  // log entries (two replicas briefly both believing, or a retry racing the
+  // commit) are deduplicated by the pending-erase on the lane. The entry
+  // carries the block's identity and is padded to the block's wire size
+  // (replication cost model); the content stays in the lane's pending map.
   raft_->ProposeOnAll(EncodePayload(BlockId{channel, number}, block_bytes));
   // Fixed retry cadence on the lane's own clock: covers both the no-leader
   // window and an accepted entry lost to a leader crash.
@@ -141,11 +90,11 @@ void RaftConsensus::ThreadPropose(uint32_t channel, uint64_t number,
   if (ep == nullptr) return;
   ep->clock().Schedule(100 * runtime::kMillisecond,
                        [this, channel, number, block_bytes]() {
-                         ThreadPropose(channel, number, block_bytes);
+                         Propose(channel, number, block_bytes);
                        });
 }
 
-void RaftConsensus::OnThreadCommit(BlockId id) {
+void RaftConsensus::OnCommit(BlockId id) {
   ChannelLane& lane = lanes_[id.channel];
   const auto it = lane.pending.find(id.number);
   if (it == lane.pending.end()) return;  // Another replica's post won.
@@ -164,21 +113,12 @@ void RaftConsensus::OnThreadCommit(BlockId id) {
   }
 }
 
-void RaftConsensus::StartReplicas() { raft_->Start(); }
-
 void RaftConsensus::Halt() {
   halted_.store(true, std::memory_order_release);
-  if (raft_ == nullptr || !raft_->thread_mode()) return;
   for (uint32_t i = 0; i < raft_->num_nodes(); ++i) {
     raft::RaftNode* node = &raft_->node(i);
-    runtime::Endpoint* ep = raft_->endpoint(i);
-    if (ep != nullptr) ep->Post([node]() { node->Stop(); });
+    raft_->endpoint(i).Post([node]() { node->Stop(); });
   }
-}
-
-void RaftConsensus::ScheduleLeaderCrash(runtime::TimeMicros at,
-                                        runtime::TimeMicros duration) {
-  raft_->ScheduleLeaderCrash(at, duration);
 }
 
 }  // namespace fabricpp::fabric

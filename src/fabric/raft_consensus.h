@@ -2,7 +2,6 @@
 #define FABRICPP_FABRIC_RAFT_CONSENSUS_H_
 
 #include <atomic>
-#include <cstddef>
 #include <functional>
 #include <map>
 #include <memory>
@@ -13,18 +12,16 @@
 #include "node/consensus.h"
 #include "raft/raft_node.h"
 #include "runtime/runtime.h"
-#include "sim/environment.h"
-#include "sim/network.h"
 
 namespace fabricpp::fabric {
 
 /// The crash-fault-tolerant consensus backend (Fabric >= 1.4's etcdraft
 /// profile): blocks are delivered only after the Raft log commits them,
-/// adding replication latency. Runs on both substrates — the historical
-/// deterministic simulation (one event loop, fault-injector integration)
-/// and the thread runtime, where each replica lives on its own mailbox
-/// thread and commits are funneled back to the submitting channel's
-/// execution context.
+/// adding replication latency. One flow on every runtime: each replica
+/// lives on its own runtime endpoint ("raft-%u") — a mailbox thread under
+/// the thread runtime, the shared event loop under sim — its RPCs ride the
+/// runtime transport, and commits are funneled back to the submitting
+/// channel's execution context.
 ///
 /// A submitted block is re-proposed until its commit callback fires: a
 /// leader crash can lose an accepted entry before replication, and the
@@ -32,18 +29,12 @@ namespace fabricpp::fabric {
 class RaftConsensus final : public node::ConsensusService {
  public:
   /// Resolves a channel to the endpoint its deliveries must run on (the
-  /// orderer's lane for that channel under the thread runtime).
+  /// orderer's lane for that channel).
   using EndpointResolver = std::function<runtime::Endpoint*(uint32_t)>;
 
-  /// Sim mode: builds and starts the cluster on `env`. Registers each
-  /// replica with `net`'s fault injector so a chaos plan's
-  /// loss/partitions/crashes hit consensus traffic too.
-  RaftConsensus(sim::Environment* env, sim::Network* net,
-                const FabricConfig& config);
-
-  /// Thread mode: one runtime endpoint ("raft-%u") per replica, RPCs over
-  /// the runtime transport. Call SetDeliveryEndpointResolver before the
-  /// first Submit and StartReplicas once the runtime epoch is set.
+  /// Adds one endpoint per replica to `runtime`. Call
+  /// SetDeliveryEndpointResolver before the first Submit and
+  /// cluster().Start() when the run begins.
   RaftConsensus(runtime::Runtime* runtime, const FabricConfig& config);
 
   void Submit(uint32_t channel, std::shared_ptr<proto::Block> block,
@@ -51,23 +42,14 @@ class RaftConsensus final : public node::ConsensusService {
 
   raft::RaftCluster& cluster() { return *raft_; }
 
-  // --- Thread-mode lifecycle (no-ops / unused under sim) ---
-
   /// Wires commit delivery back to per-channel execution contexts.
   void SetDeliveryEndpointResolver(EndpointResolver resolver) {
     resolver_ = std::move(resolver);
   }
 
-  /// Arms every replica's election timer (posted to the replica threads).
-  void StartReplicas();
-
   /// Stops proposal retries and halts every replica, so no consensus timer
   /// re-arms and the runtime can quiesce. Irreversible.
   void Halt();
-
-  /// Thread-mode leader kill (see RaftCluster::ScheduleLeaderCrash).
-  void ScheduleLeaderCrash(runtime::TimeMicros at,
-                           runtime::TimeMicros duration);
 
   /// Identity of a block in consensus: (channel, block number). Stable
   /// across re-proposals, unlike the Raft log index. A struct rather than
@@ -78,13 +60,6 @@ class RaftConsensus final : public node::ConsensusService {
     uint32_t channel = 0;
     uint64_t number = 0;
     bool operator==(const BlockId&) const = default;
-  };
-  struct BlockIdHash {
-    size_t operator()(const BlockId& id) const {
-      return static_cast<size_t>(
-          (static_cast<uint64_t>(id.channel) * 0x9e3779b97f4a7c15ULL) ^
-          id.number);
-    }
   };
 
   /// The consensus entry carries the block's identity in its first 12
@@ -100,9 +75,9 @@ class RaftConsensus final : public node::ConsensusService {
     uint64_t block_bytes;
   };
 
-  /// Per-channel delivery lane (thread mode). Each element is touched only
-  /// on its channel's resolved endpoint thread: Submit runs there, and
-  /// replica commit callbacks post back to it.
+  /// Per-channel delivery lane. Each element is touched only on its
+  /// channel's resolved endpoint context: Submit runs there, and replica
+  /// commit callbacks post back to it.
   struct ChannelLane {
     /// Blocks awaiting consensus commit, keyed by block number.
     std::unordered_map<uint64_t, Pending> pending;
@@ -113,27 +88,17 @@ class RaftConsensus final : public node::ConsensusService {
     uint64_t next_deliver = 1;
   };
 
-  /// Sim mode: proposes the pending block `id`, re-proposing until it
-  /// commits.
-  void ProposeToRaft(BlockId id, uint64_t block_bytes);
+  /// ProposeOnAll plus a fixed retry on the channel's lane clock, until
+  /// the commit erases the pending entry (or Halt()).
+  void Propose(uint32_t channel, uint64_t number, uint64_t block_bytes);
 
-  /// Thread mode: ProposeOnAll plus a fixed retry on the channel's lane
-  /// clock, until the commit erases the pending entry (or Halt()).
-  void ThreadPropose(uint32_t channel, uint64_t number, uint64_t block_bytes);
+  /// Runs on the channel's lane context; first arrival wins (every replica
+  /// posts one), delivery is held back into chain order.
+  void OnCommit(BlockId id);
 
-  /// Thread mode: runs on the channel's lane thread; first arrival wins
-  /// (every replica posts one), delivery is held back into chain order.
-  void OnThreadCommit(BlockId id);
-
-  sim::Environment* env_ = nullptr;  // Sim mode only.
   std::unique_ptr<raft::RaftCluster> raft_;
-  /// Sim mode: blocks awaiting consensus commit.
-  std::unordered_map<BlockId, Pending, BlockIdHash> pending_;
-  uint64_t dispatched_ = 0;
-
-  // Thread mode.
   EndpointResolver resolver_;
-  std::vector<ChannelLane> lanes_;  // One per channel, lane-thread-confined.
+  std::vector<ChannelLane> lanes_;  // One per channel, lane-confined.
   std::atomic<bool> halted_{false};
 };
 

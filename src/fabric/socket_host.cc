@@ -206,8 +206,7 @@ void SocketHost::ReportState(proto::StateReportMsg report) {
 void SocketHost::Ship(const runtime::SocketPeerKey& to,
                       proto::WireMessageType type, const Bytes& payload,
                       uint64_t modeled_bytes) {
-  metrics_.NoteWireMessage(static_cast<uint8_t>(type),
-                           proto::FramedSize(payload.size()), modeled_bytes);
+  metrics_.NoteWireMessage(proto::FramedSize(payload.size()), modeled_bytes);
   (void)transport_->Send(to, type, payload);
 }
 
@@ -289,8 +288,7 @@ void SocketHost::BroadcastBlock(runtime::Endpoint& /*from*/,
                                 uint32_t channel,
                                 std::shared_ptr<proto::Block> block,
                                 uint64_t block_bytes) {
-  // Always direct: peer -> peer links do not exist in the dial topology,
-  // which is why Validate() rejects gossip_blocks under socket mode.
+  // Direct to every peer; the frame is encoded once for all of them.
   const Bytes payload = proto::BlockMsg{channel, *block}.Encode();
   for (uint32_t p = 0; p < slice_.num_peers(); ++p) {
     Ship(PeerKey(p), proto::WireMessageType::kBlock, payload, block_bytes);
@@ -494,11 +492,6 @@ RunReport SocketHost::RunClients(runtime::TimeMicros duration,
     std::this_thread::sleep_for(std::chrono::microseconds(horizon));
   };
   slice_.RunMeasured(*runtime_, duration, warmup, hooks);
-  const runtime::SocketTransport::Counters c = transport_->counters();
-  metrics_.SetSocketTransportTotals(c.frames_sent, c.bytes_sent,
-                                    c.frames_received, c.bytes_received,
-                                    c.writev_calls, c.reconnects,
-                                    c.messages_dropped, c.decode_errors);
   return metrics_.Report();
 }
 

@@ -10,17 +10,15 @@
 
 namespace fabricpp::node {
 
-LocalMesh::LocalMesh(const fabric::FabricConfig* config,
-                     fabric::Metrics* metrics, NodeDirectory* directory,
+LocalMesh::LocalMesh(fabric::Metrics* metrics, NodeDirectory* directory,
                      runtime::Runtime* runtime, bool measure_wire_bytes)
-    : config_(config),
-      metrics_(metrics),
+    : metrics_(metrics),
       directory_(directory),
       runtime_(runtime),
       measure_wire_bytes_(measure_wire_bytes) {}
 
-void LocalMesh::Measure(uint8_t type, size_t payload_size, uint64_t modeled) {
-  metrics_->NoteWireMessage(type, proto::FramedSize(payload_size), modeled);
+void LocalMesh::Measure(size_t payload_size, uint64_t modeled) {
+  metrics_->NoteWireMessage(proto::FramedSize(payload_size), modeled);
 }
 
 void LocalMesh::SendProposal(runtime::Endpoint& from, uint32_t peer_index,
@@ -34,8 +32,7 @@ void LocalMesh::SendProposal(runtime::Endpoint& from, uint32_t peer_index,
       });
   if (measure_wire_bytes_) {
     const proto::ProposalMsg msg{channel, client_index, proposal};
-    Measure(static_cast<uint8_t>(proto::WireMessageType::kProposal),
-            msg.Encode().size(), size_bytes);
+    Measure(msg.Encode().size(), size_bytes);
   }
 }
 
@@ -44,8 +41,7 @@ void LocalMesh::SendTransaction(runtime::Endpoint& from, uint32_t channel,
   OrdererNode* orderer = &directory_->orderer();
   if (measure_wire_bytes_) {
     const proto::TransactionMsg msg{channel, tx};
-    Measure(static_cast<uint8_t>(proto::WireMessageType::kTransaction),
-            msg.Encode().size(), size_bytes);
+    Measure(msg.Encode().size(), size_bytes);
   }
   transport().Send(from, orderer->endpoint_for(channel), size_bytes,
                    [orderer, channel, tx = std::move(tx)]() mutable {
@@ -60,8 +56,7 @@ void LocalMesh::SendEndorsementReply(
   if (measure_wire_bytes_) {
     const proto::EndorsementReplyMsg msg =
         EndorsementReplyToWire(client_index, proposal_id, response);
-    Measure(static_cast<uint8_t>(proto::WireMessageType::kEndorsementReply),
-            msg.Encode().size(), size_bytes);
+    Measure(msg.Encode().size(), size_bytes);
   }
   transport().Send(
       from, client->home(), size_bytes,
@@ -78,8 +73,7 @@ void LocalMesh::SendBusy(runtime::Endpoint& from, uint32_t client_index,
   if (measure_wire_bytes_) {
     const proto::BusyMsg msg{client_index, busy.proposal_id,
                              busy.retry_after_us};
-    Measure(static_cast<uint8_t>(proto::WireMessageType::kBusy),
-            msg.Encode().size(), kMessageOverhead);
+    Measure(msg.Encode().size(), kMessageOverhead);
   }
 }
 
@@ -92,8 +86,7 @@ void LocalMesh::SendBusyByName(runtime::Endpoint& from,
                    [client, busy]() { client->HandleBusy(busy); });
   if (measure_wire_bytes_) {
     const proto::BusyMsg msg{0, busy.proposal_id, busy.retry_after_us};
-    Measure(static_cast<uint8_t>(proto::WireMessageType::kBusy),
-            msg.Encode().size(), kMessageOverhead);
+    Measure(msg.Encode().size(), kMessageOverhead);
   }
 }
 
@@ -116,8 +109,7 @@ void LocalMesh::SendOutcome(runtime::Endpoint& from, const std::string& client,
     msg.client = client;
     msg.proposal_id = proposal_id;
     msg.code = code;
-    Measure(static_cast<uint8_t>(proto::WireMessageType::kOutcome),
-            msg.Encode().size(), kMessageOverhead);
+    Measure(msg.Encode().size(), kMessageOverhead);
   }
 }
 
@@ -132,54 +124,15 @@ void LocalMesh::SendBlock(runtime::Endpoint& from, uint32_t peer_index,
                    });
   if (measure_wire_bytes_) {
     const proto::BlockMsg msg{channel, *block};
-    Measure(static_cast<uint8_t>(proto::WireMessageType::kBlock),
-            msg.Encode().size(), block_bytes);
+    Measure(msg.Encode().size(), block_bytes);
   }
 }
 
 void LocalMesh::BroadcastBlock(runtime::Endpoint& from, uint32_t channel,
                                std::shared_ptr<proto::Block> block,
                                uint64_t block_bytes) {
-  if (!config_->gossip_blocks) {
-    for (uint32_t p = 0; p < directory_->num_peers(); ++p) {
-      SendBlock(from, p, channel, block, block_bytes);
-    }
-    return;
-  }
-  // Gossip: one copy to each org's leader peer (its first), which forwards
-  // to the org's remaining members — "partially from ordering service to
-  // peers directly ... and partially between the peers using a gossip
-  // protocol" (Appendix A.2 step 9).
-  const uint32_t peers_per_org = config_->peers_per_org;
-  for (uint32_t org = 0; org < config_->num_orgs; ++org) {
-    PeerNode* leader = &directory_->peer(org * peers_per_org);
-    NodeDirectory* directory = directory_;
-    runtime::Transport* transport = &this->transport();
-    transport->Send(
-        from, leader->endpoint_for(channel), block_bytes,
-        [directory, transport, leader, org, peers_per_org, channel, block,
-         block_bytes]() {
-          leader->HandleBlock(channel, block);
-          for (uint32_t m = 1; m < peers_per_org; ++m) {
-            PeerNode* member = &directory->peer(org * peers_per_org + m);
-            transport->Send(leader->endpoint_for(channel),
-                            member->endpoint_for(channel), block_bytes,
-                            [member, channel, block]() {
-                              member->HandleBlock(channel, block);
-                            });
-          }
-        });
-  }
-  if (measure_wire_bytes_) {
-    // Every peer receives one framed copy (orderer->leader hops plus the
-    // leader->member forwards), all the same encoding.
-    const proto::BlockMsg msg{channel, *block};
-    const size_t payload = msg.Encode().size();
-    const size_t copies = directory_->num_peers();
-    for (size_t i = 0; i < copies; ++i) {
-      Measure(static_cast<uint8_t>(proto::WireMessageType::kBlock), payload,
-              block_bytes);
-    }
+  for (uint32_t p = 0; p < directory_->num_peers(); ++p) {
+    SendBlock(from, p, channel, block, block_bytes);
   }
 }
 
@@ -192,8 +145,7 @@ void LocalMesh::SendChainInfo(runtime::Endpoint& from, uint32_t peer_index,
                    });
   if (measure_wire_bytes_) {
     const proto::ChainInfoMsg msg{channel, height};
-    Measure(static_cast<uint8_t>(proto::WireMessageType::kChainInfo),
-            msg.Encode().size(), kMessageOverhead);
+    Measure(msg.Encode().size(), kMessageOverhead);
   }
 }
 
@@ -207,8 +159,7 @@ void LocalMesh::SendBlockRequest(runtime::Endpoint& from, uint32_t channel,
                    });
   if (measure_wire_bytes_) {
     const proto::BlockRequestMsg msg{channel, peer_index, from_number};
-    Measure(static_cast<uint8_t>(proto::WireMessageType::kBlockRequest),
-            msg.Encode().size(), kMessageOverhead);
+    Measure(msg.Encode().size(), kMessageOverhead);
   }
 }
 

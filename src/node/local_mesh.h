@@ -5,7 +5,6 @@
 #include <memory>
 #include <string>
 
-#include "fabric/config.h"
 #include "fabric/metrics.h"
 #include "node/mesh.h"
 #include "node/node_context.h"
@@ -26,9 +25,8 @@ namespace fabricpp::node {
 /// encode keeps the deterministic path free of dead work.
 class LocalMesh : public Mesh {
  public:
-  LocalMesh(const fabric::FabricConfig* config, fabric::Metrics* metrics,
-            NodeDirectory* directory, runtime::Runtime* runtime,
-            bool measure_wire_bytes);
+  LocalMesh(fabric::Metrics* metrics, NodeDirectory* directory,
+            runtime::Runtime* runtime, bool measure_wire_bytes);
 
   void SendProposal(runtime::Endpoint& from, uint32_t peer_index,
                     uint32_t channel, const proto::Proposal& proposal,
@@ -49,8 +47,7 @@ class LocalMesh : public Mesh {
   void SendBlock(runtime::Endpoint& from, uint32_t peer_index,
                  uint32_t channel, std::shared_ptr<proto::Block> block,
                  uint64_t block_bytes) override;
-  /// Direct to every peer, or Fabric's gossip pattern when
-  /// FabricConfig::gossip_blocks is on.
+  /// Direct to every peer, one SendBlock each.
   void BroadcastBlock(runtime::Endpoint& from, uint32_t channel,
                       std::shared_ptr<proto::Block> block,
                       uint64_t block_bytes) override;
@@ -61,11 +58,11 @@ class LocalMesh : public Mesh {
 
  private:
   runtime::Transport& transport() { return runtime_->transport(); }
-  /// Records the real framed size of a send (thread mode only). `payload`
-  /// is the encoded wire payload; `modeled` what the cost model charged.
-  void Measure(uint8_t type, size_t payload_size, uint64_t modeled);
+  /// Records the real framed size of a send (thread mode only).
+  /// `payload_size` is the encoded wire payload's size; `modeled` what the
+  /// cost model charged.
+  void Measure(size_t payload_size, uint64_t modeled);
 
-  const fabric::FabricConfig* config_;
   fabric::Metrics* metrics_;
   NodeDirectory* directory_;
   runtime::Runtime* runtime_;

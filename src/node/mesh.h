@@ -87,9 +87,8 @@ class Mesh {
                          uint64_t block_bytes) = 0;
 
   /// Orderer -> every peer: a newly cut block (paper §2.2.2 / Appendix A.2
-  /// steps 8-9). The mesh decides how it travels: directly, or through
-  /// each org's leader when gossip is on (in-process meshes only; Validate
-  /// rejects gossip_blocks under socket mode).
+  /// steps 8-9), shipped directly to each peer. The paper's gossip relay
+  /// through each org's leader peer is not modeled.
   virtual void BroadcastBlock(runtime::Endpoint& from, uint32_t channel,
                               std::shared_ptr<proto::Block> block,
                               uint64_t block_bytes) = 0;

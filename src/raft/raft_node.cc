@@ -1,11 +1,10 @@
 #include "raft/raft_node.h"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
+#include <utility>
 #include <variant>
-
-#include "raft/sim_transport.h"
-#include "raft/thread_transport.h"
-#include "sim/fault_injector.h"
 
 namespace fabricpp::raft {
 
@@ -27,13 +26,13 @@ std::string_view RoleToString(Role role) {
 
 RaftNode::RaftNode(uint32_t id, uint32_t cluster_size, uint64_t seed,
                    const Params* params, runtime::Clock* clock,
-                   Transport* transport, HardState* stable)
+                   RaftCluster* cluster, HardState* stable)
     : id_(id),
       cluster_size_(cluster_size),
       rng_(seed ^ (0x9e3779b97f4a7c15ULL * (id + 1))),
       params_(params),
       clock_(clock),
-      transport_(transport),
+      cluster_(cluster),
       stable_(stable) {}
 
 void RaftNode::Start() { ResetElectionTimer(); }
@@ -104,9 +103,9 @@ void RaftNode::StartElection() {
   ResetElectionTimer();  // Retry with a fresh timeout on a split vote.
   for (uint32_t peer = 0; peer < cluster_size_; ++peer) {
     if (peer == id_) continue;
-    transport_->Send(id_, peer, 64,
-                     RequestVote{current_term_, id_, LastLogIndex(),
-                                 LastLogTerm()});
+    cluster_->Send(id_, peer, 64,
+                   RequestVote{current_term_, id_, LastLogIndex(),
+                               LastLogTerm()});
   }
   if (cluster_size_ == 1) BecomeLeader();
 }
@@ -130,8 +129,8 @@ void RaftNode::Handle(const RequestVote& msg) {
       ResetElectionTimer();
     }
   }
-  transport_->Send(id_, msg.candidate, 32,
-                   VoteReply{current_term_, id_, granted});
+  cluster_->Send(id_, msg.candidate, 32,
+                 VoteReply{current_term_, id_, granted});
 }
 
 void RaftNode::Handle(const VoteReply& msg) {
@@ -193,15 +192,15 @@ void RaftNode::SendAppendEntriesTo(uint32_t peer) {
     msg.entries.push_back(log_[i - 1]);
     payload_bytes += log_[i - 1].payload.size() + 16;
   }
-  transport_->Send(id_, peer, payload_bytes, std::move(msg));
+  cluster_->Send(id_, peer, payload_bytes, std::move(msg));
 }
 
 void RaftNode::Handle(const AppendEntries& msg) {
   if (stopped_) return;
   if (msg.term > current_term_) BecomeFollower(msg.term);
   if (msg.term < current_term_) {
-    transport_->Send(id_, msg.leader, 32,
-                     AppendReply{current_term_, id_, false, 0});
+    cluster_->Send(id_, msg.leader, 32,
+                   AppendReply{current_term_, id_, false, 0});
     return;
   }
   // Valid leader for our term.
@@ -211,8 +210,8 @@ void RaftNode::Handle(const AppendEntries& msg) {
   // Consistency check (§5.3).
   if (msg.prev_log_index > LastLogIndex() ||
       TermAt(msg.prev_log_index) != msg.prev_log_term) {
-    transport_->Send(id_, msg.leader, 32,
-                     AppendReply{current_term_, id_, false, 0});
+    cluster_->Send(id_, msg.leader, 32,
+                   AppendReply{current_term_, id_, false, 0});
     return;
   }
   // Append/overwrite entries.
@@ -232,8 +231,8 @@ void RaftNode::Handle(const AppendEntries& msg) {
     commit_index_ = std::min(msg.leader_commit, LastLogIndex());
     ApplyCommitted();
   }
-  transport_->Send(id_, msg.leader, 32,
-                   AppendReply{current_term_, id_, true, index});
+  cluster_->Send(id_, msg.leader, 32,
+                 AppendReply{current_term_, id_, true, index});
 }
 
 void RaftNode::Handle(const AppendReply& msg) {
@@ -283,53 +282,33 @@ void RaftNode::ApplyCommitted() {
 // RaftCluster
 // ---------------------------------------------------------------------------
 
-RaftCluster::RaftCluster(sim::Environment* env, uint32_t num_nodes,
-                         uint64_t seed)
-    : RaftCluster(env, num_nodes, seed, Params{}) {}
-
-RaftCluster::RaftCluster(sim::Environment* env, uint32_t num_nodes,
-                         uint64_t seed, Params params)
-    : env_(env), params_(params) {
-  env_clock_ = std::make_unique<EnvClock>(env);
-  auto transport =
-      std::make_unique<SimRaftTransport>(env, &params_, &messages_sent_);
-  sim_transport_ = transport.get();
-  transport_ = std::move(transport);
-  sim_transport_->SetDeliver([this](uint32_t to, const RaftMessage& msg) {
-    std::visit([this, to](const auto& m) { nodes_[to]->Handle(m); }, msg);
-  });
-  BuildNodes(num_nodes, seed);
-}
-
 RaftCluster::RaftCluster(runtime::Transport* transport,
                          std::vector<runtime::Endpoint*> endpoints,
                          uint64_t seed, Params params)
-    : params_(params), endpoints_(std::move(endpoints)) {
-  auto thread_transport = std::make_unique<ThreadRaftTransport>(
-      transport, endpoints_, &messages_sent_);
-  thread_transport->SetDeliver([this](uint32_t to, const RaftMessage& msg) {
-    std::visit([this, to](const auto& m) { nodes_[to]->Handle(m); }, msg);
-  });
-  transport_ = std::move(thread_transport);
-  BuildNodes(static_cast<uint32_t>(endpoints_.size()), seed);
+    : transport_(transport),
+      endpoints_(std::move(endpoints)),
+      params_(params),
+      hard_states_(endpoints_.size()) {
+  const auto num_nodes = static_cast<uint32_t>(endpoints_.size());
+  for (uint32_t id = 0; id < num_nodes; ++id) {
+    nodes_.push_back(std::make_unique<RaftNode>(
+        id, num_nodes, seed, &params_, &endpoints_[id]->clock(), this,
+        &hard_states_[id]));
+  }
 }
 
-void RaftCluster::BuildNodes(uint32_t num_nodes, uint64_t seed) {
-  hard_states_.resize(num_nodes);
-  for (uint32_t id = 0; id < num_nodes; ++id) {
-    runtime::Clock* clock =
-        env_ != nullptr ? env_clock_.get() : &endpoints_[id]->clock();
-    nodes_.push_back(std::make_unique<RaftNode>(id, num_nodes, seed, &params_,
-                                                clock, transport_.get(),
-                                                &hard_states_[id]));
-  }
+void RaftCluster::Send(uint32_t from, uint32_t to, uint64_t payload_bytes,
+                       RaftMessage msg) {
+  RaftNode* receiver = nodes_[to].get();
+  transport_->Send(*endpoints_[from], *endpoints_[to], payload_bytes,
+                   [receiver, msg = std::move(msg)]() {
+                     std::visit(
+                         [receiver](const auto& m) { receiver->Handle(m); },
+                         msg);
+                   });
 }
 
 void RaftCluster::Start() {
-  if (env_ != nullptr) {
-    for (auto& node : nodes_) node->Start();
-    return;
-  }
   for (uint32_t id = 0; id < nodes_.size(); ++id) {
     RaftNode* node = nodes_[id].get();
     endpoints_[id]->Post([node]() { node->Start(); });
@@ -372,24 +351,8 @@ void RaftCluster::SetPersistHardStateOnAll(bool persist) {
   for (auto& node : nodes_) node->set_persist_hard_state(persist);
 }
 
-void RaftCluster::SetFaultInjector(sim::FaultInjector* injector,
-                                   std::vector<sim::NodeId> node_ids) {
-  if (sim_transport_ != nullptr) {
-    sim_transport_->SetFaultInjector(injector, std::move(node_ids));
-  }
-}
-
 void RaftCluster::ScheduleCrash(uint32_t id, runtime::TimeMicros start,
                                 runtime::TimeMicros end) {
-  if (env_ != nullptr) {
-    if (sim_transport_ != nullptr && sim_transport_->injector() != nullptr) {
-      sim_transport_->injector()->CrashNode(sim_transport_->MappedId(id),
-                                            start, end);
-    }
-    env_->ScheduleAt(start, [this, id]() { nodes_[id]->Crash(); });
-    env_->ScheduleAt(end, [this, id]() { nodes_[id]->Resume(); });
-    return;
-  }
   RaftNode* node = nodes_[id].get();
   runtime::Clock& clock = endpoints_[id]->clock();
   clock.ScheduleAt(start, [node]() { node->Crash(); });
@@ -398,15 +361,15 @@ void RaftCluster::ScheduleCrash(uint32_t id, runtime::TimeMicros start,
 
 void RaftCluster::ScheduleLeaderCrash(runtime::TimeMicros at,
                                       runtime::TimeMicros duration) {
+  // One claim per scheduled kill: the replicas check their roles on their
+  // own endpoints, and exactly one of them (or the fallback) crashes.
+  auto claimed = std::make_shared<std::atomic<bool>>(false);
   for (uint32_t id = 0; id < nodes_.size(); ++id) {
     RaftNode* node = nodes_[id].get();
     runtime::Clock* clock = &endpoints_[id]->clock();
-    clock->ScheduleAt(at, [this, node, clock, duration]() {
+    clock->ScheduleAt(at, [claimed, node, clock, duration]() {
       if (node->stopped() || node->role() != Role::kLeader) return;
-      bool expected = false;
-      if (!leader_crash_claimed_.compare_exchange_strong(expected, true)) {
-        return;
-      }
+      if (claimed->exchange(true)) return;
       node->Crash();
       clock->Schedule(duration, [node]() { node->Resume(); });
     });
@@ -416,15 +379,13 @@ void RaftCluster::ScheduleLeaderCrash(runtime::TimeMicros at,
   // failover.
   RaftNode* fallback = nodes_[0].get();
   runtime::Clock* clock0 = &endpoints_[0]->clock();
-  clock0->ScheduleAt(
-      at + 50 * runtime::kMillisecond, [this, fallback, clock0, duration]() {
-        bool expected = false;
-        if (!leader_crash_claimed_.compare_exchange_strong(expected, true)) {
-          return;
-        }
-        fallback->Crash();
-        clock0->Schedule(duration, [fallback]() { fallback->Resume(); });
-      });
+  clock0->ScheduleAt(at + 50 * runtime::kMillisecond,
+                     [claimed, fallback, clock0, duration]() {
+                       if (claimed->exchange(true)) return;
+                       fallback->Crash();
+                       clock0->Schedule(duration,
+                                        [fallback]() { fallback->Resume(); });
+                     });
 }
 
 }  // namespace fabricpp::raft

@@ -1,7 +1,6 @@
 #ifndef FABRICPP_RAFT_RAFT_NODE_H_
 #define FABRICPP_RAFT_RAFT_NODE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -11,10 +10,8 @@
 
 #include "common/bytes.h"
 #include "common/rng.h"
-#include "raft/transport.h"
+#include "raft/messages.h"
 #include "runtime/runtime.h"
-#include "sim/environment.h"
-#include "sim/network.h"
 
 namespace fabricpp::raft {
 
@@ -22,14 +19,14 @@ namespace fabricpp::raft {
 enum class Role { kFollower = 0, kCandidate, kLeader };
 std::string_view RoleToString(Role role);
 
-class SimRaftTransport;
+class RaftCluster;
 
 /// A single Raft replica (Ongaro & Ousterhout, "In Search of an
 /// Understandable Consensus Algorithm", 2014) written against the runtime
-/// seam: timers go through an abstract runtime::Clock and RPCs through the
-/// narrow raft::Transport interface, so the same state machine runs inside
-/// the deterministic discrete-event simulation (SimRaftTransport) and on
-/// real OS threads (ThreadRaftTransport, one mailbox thread per replica).
+/// seam: timers go through its endpoint's runtime::Clock and RPCs through
+/// RaftCluster::Send onto the runtime transport, so the same state machine
+/// runs inside the deterministic discrete-event simulation and on real OS
+/// threads (one mailbox thread per replica).
 ///
 /// Implements leader election with randomized timeouts, log replication
 /// with the AppendEntries consistency check, commit-index advancement by
@@ -39,8 +36,8 @@ class SimRaftTransport;
 /// paper treats it as a trustworthy black box (§2.1).
 ///
 /// Thread-safety: every entry point (Handle, Propose, timers, Crash/Resume)
-/// must run on the replica's own execution context — the sim event loop, or
-/// the replica's endpoint thread under ThreadRuntime. The node itself takes
+/// must run on the replica's own endpoint context — the sim event loop, or
+/// the replica's mailbox thread under ThreadRuntime. The node itself takes
 /// no locks.
 ///
 /// Persistence: (current_term, voted_for) are written through to a
@@ -55,7 +52,7 @@ class RaftNode {
   using CommitCallback = std::function<void(uint64_t, const Bytes&)>;
 
   RaftNode(uint32_t id, uint32_t cluster_size, uint64_t seed,
-           const Params* params, runtime::Clock* clock, Transport* transport,
+           const Params* params, runtime::Clock* clock, RaftCluster* cluster,
            HardState* stable);
 
   uint32_t id() const { return id_; }
@@ -75,8 +72,8 @@ class RaftNode {
 
   /// Client entry point: appends to the leader's log and starts
   /// replication. Returns the assigned (1-based) log index, or nullopt on
-  /// non-leaders — callers retry via RaftCluster::Propose, which routes to
-  /// the current leader.
+  /// non-leaders — callers retry (RaftCluster::ProposeOnAll offers the
+  /// entry to every replica).
   std::optional<uint64_t> Propose(Bytes payload);
 
   /// Crash simulation: a stopped node ignores timers and messages.
@@ -89,7 +86,7 @@ class RaftNode {
   /// vote) from the HardState ("stable storage") and rejoins as a follower.
   void Crash();
 
-  // --- Message handlers (invoked by the transport on delivery) ---
+  // --- Message handlers (invoked by RaftCluster on delivery) ---
   using RequestVote = raft::RequestVote;
   using VoteReply = raft::VoteReply;
   using AppendEntries = raft::AppendEntries;
@@ -128,7 +125,7 @@ class RaftNode {
   Rng rng_;
   const Params* params_;
   runtime::Clock* clock_;
-  Transport* transport_;
+  RaftCluster* cluster_;
   HardState* stable_;
   bool persist_hard_state_ = true;
 
@@ -151,55 +148,43 @@ class RaftNode {
   CommitCallback on_commit_;
 };
 
-/// A fully wired Raft cluster: replica construction plus the transport and
-/// clock wiring for one of the two substrates.
+/// A fully wired Raft cluster: one replica per runtime endpoint, RPCs
+/// over the runtime transport between those endpoints. The cluster is the
+/// replicas' only sender, so the runtime's network model (latency, egress,
+/// fault plan) applies to consensus traffic like to any other message.
 ///
-/// Sim mode (the historical constructors): every replica shares the one
-/// event loop; Propose/FindLeader/ScheduleCrash poke nodes directly.
-///
-/// Thread mode: each replica lives on its own runtime endpoint (mailbox
-/// thread) and RPCs ride runtime::Transport. Cross-thread access goes
-/// through endpoint posts — Start()/ProposeOnAll()/ScheduleCrash()/
-/// ScheduleLeaderCrash() do that internally; direct node(i) state reads are
-/// only safe before the runtime starts or after it quiesces.
+/// Cross-endpoint access goes through endpoint posts and clocks —
+/// Start()/ProposeOnAll()/ScheduleCrash()/ScheduleLeaderCrash() do that
+/// internally. Direct node(i) state reads, Propose() and FindLeader() are
+/// only safe on a single-threaded runtime (sim), or before a multi-threaded
+/// one starts or after it quiesces.
 class RaftCluster {
  public:
-  using Params = raft::Params;  // Historical nested-name compatibility.
-
-  RaftCluster(sim::Environment* env, uint32_t num_nodes, uint64_t seed);
-  RaftCluster(sim::Environment* env, uint32_t num_nodes, uint64_t seed,
-              Params params);
-
-  /// Thread-mode cluster: one replica per endpoint, RPCs over `transport`.
+  /// One replica per endpoint; `endpoints[i]` hosts replica i.
   RaftCluster(runtime::Transport* transport,
               std::vector<runtime::Endpoint*> endpoints, uint64_t seed,
-              Params params);
+              Params params = {});
 
-  /// Arms all election timers (sim: inline; thread: via endpoint posts).
+  /// Arms all election timers (posted to each replica's endpoint).
   void Start();
 
-  /// Routes a proposal to the current leader (if any). Returns the
-  /// assigned log index, or nullopt when no live leader exists — the
-  /// caller retries after a delay. Sim mode only (reads node state
-  /// directly).
+  /// Proposes on the current leader (if any). Returns the assigned log
+  /// index, or nullopt when no live leader exists — the caller retries
+  /// after a delay. Reads replica state directly: single-threaded or
+  /// quiesced runtime only.
   std::optional<uint64_t> Propose(Bytes payload);
 
-  /// Thread-mode proposal: posts a propose-if-leader task to every
-  /// replica. Non-leaders ignore it; duplicate log entries for the same
-  /// payload are deduplicated by the consensus layer's pending-erase.
+  /// Posts a propose-if-leader task to every replica. Non-leaders ignore
+  /// it; duplicate log entries for the same payload are deduplicated by the
+  /// consensus layer's pending-erase.
   void ProposeOnAll(Bytes payload);
 
   RaftNode& node(uint32_t id) { return *nodes_[id]; }
   size_t num_nodes() const { return nodes_.size(); }
-  const Params& params() const { return params_; }
-  sim::Environment& env() { return *env_; }
-  bool thread_mode() const { return env_ == nullptr; }
-  runtime::Endpoint* endpoint(uint32_t id) {
-    return id < endpoints_.size() ? endpoints_[id] : nullptr;
-  }
+  runtime::Endpoint& endpoint(uint32_t id) { return *endpoints_[id]; }
 
-  /// The current leader id, if exactly one live node believes it leads in
-  /// the highest term. Sim mode (or quiesced thread runtime) only.
+  /// The current leader id, if some live node believes it leads (the one
+  /// in the highest term wins). Single-threaded or quiesced runtime only.
   std::optional<uint32_t> FindLeader() const;
 
   /// Sets one commit callback on every node (tests usually only need the
@@ -210,46 +195,34 @@ class RaftCluster {
   /// Test hook: toggles (term, vote) restore-on-resume on every replica.
   void SetPersistHardStateOnAll(bool persist);
 
-  /// Routes the cluster's transport through a fault injector (sim mode).
-  /// `node_ids` maps replica id -> sim network node id (one entry per
-  /// replica); the injector then sees Raft traffic on those ids and can
-  /// drop, duplicate, delay or partition it like any other link.
-  void SetFaultInjector(sim::FaultInjector* injector,
-                        std::vector<sim::NodeId> node_ids);
-
-  /// Crashes replica `id` over the window [start, end): the node loses
-  /// volatile state at `start` and rejoins as a follower at `end`. Sim
-  /// mode additionally blackholes the replica's traffic through the fault
-  /// injector; thread mode schedules both transitions on the replica's own
-  /// endpoint clock.
+  /// Crashes replica `id` over the window [start, end) of its endpoint
+  /// clock: the node loses volatile state at `start` (and ignores every
+  /// RPC while down) and rejoins as a follower at `end`. To cut its links
+  /// as well, put its endpoint id in the runtime's fault plan.
   void ScheduleCrash(uint32_t id, runtime::TimeMicros start,
                      runtime::TimeMicros end);
 
-  /// Thread-mode leader kill: at time `at` (endpoint-clock time) whichever
-  /// replica believes it leads crashes itself for `duration`; if no replica
-  /// claims leadership within 50ms of `at` (election still converging),
-  /// replica 0 crashes as a fallback so the chaos window always exercises a
-  /// failover.
+  /// Leader kill: at time `at` (endpoint-clock time) whichever replica
+  /// believes it leads crashes itself for `duration`; if no replica claims
+  /// leadership within 50ms of `at` (election still converging), replica 0
+  /// crashes as a fallback so the chaos window always exercises a failover.
   void ScheduleLeaderCrash(runtime::TimeMicros at,
                            runtime::TimeMicros duration);
 
-  uint64_t messages_sent() const {
-    return messages_sent_.load(std::memory_order_relaxed);
-  }
+  /// Ships `msg` from replica `from` to replica `to` over the runtime
+  /// transport; `payload_bytes` is the RPC's modeled wire size. Delivery
+  /// runs on the receiver's endpoint context and may be dropped,
+  /// duplicated or delayed by the runtime (Raft handlers are idempotent,
+  /// and the consensus layer re-proposes). Called by the replicas.
+  void Send(uint32_t from, uint32_t to, uint64_t payload_bytes,
+            RaftMessage msg);
 
  private:
-  void BuildNodes(uint32_t num_nodes, uint64_t seed);
-
-  sim::Environment* env_ = nullptr;  // Sim mode only (null under threads).
+  runtime::Transport* transport_;
+  std::vector<runtime::Endpoint*> endpoints_;
   Params params_;
-  std::unique_ptr<runtime::Clock> env_clock_;    // Sim mode.
-  std::unique_ptr<Transport> transport_;         // Owned transport adapter.
-  SimRaftTransport* sim_transport_ = nullptr;    // Downcast view (sim mode).
-  std::vector<runtime::Endpoint*> endpoints_;    // Thread mode.
-  std::vector<HardState> hard_states_;           // Stable storage, 1/replica.
+  std::vector<HardState> hard_states_;  // Stable storage, 1/replica.
   std::vector<std::unique_ptr<RaftNode>> nodes_;
-  std::atomic<uint64_t> messages_sent_{0};
-  std::atomic<bool> leader_crash_claimed_{false};
 };
 
 }  // namespace fabricpp::raft

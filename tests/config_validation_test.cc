@@ -353,10 +353,6 @@ TEST(ConfigValidationTest, SocketModeRequiresAddresses) {
 
 TEST(ConfigValidationTest, SocketModeRejectsUnsupportedFeatures) {
   auto config = SocketBase();
-  config.gossip_blocks = true;
-  ExpectInvalid(config, "gossip_blocks under socket mode");
-
-  config = SocketBase();
   config.ordering_backend = OrderingBackend::kRaft;
   ExpectInvalid(config, "raft ordering under socket mode");
 }

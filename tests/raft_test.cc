@@ -1,14 +1,16 @@
 // Tests for src/raft: leader election, log replication, commit safety,
-// leader failure + re-election, log repair, and randomized agreement
-// checking — all inside the deterministic simulation.
+// leader failure + re-election, log repair, partitions, and randomized
+// agreement checking — all on the deterministic simulation runtime, whose
+// transport (latency, egress, fault plan) carries every Raft RPC.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
 
+#include "common/strings.h"
 #include "raft/raft_node.h"
-#include "sim/environment.h"
+#include "runtime/sim_runtime.h"
 
 namespace fabricpp::raft {
 namespace {
@@ -16,26 +18,44 @@ namespace {
 Bytes Payload(const std::string& s) { return Bytes(s.begin(), s.end()); }
 std::string AsString(const Bytes& b) { return std::string(b.begin(), b.end()); }
 
+/// A cluster of `nodes` replicas on `runtime`, one "raft-%u" endpoint each.
+std::unique_ptr<RaftCluster> MakeCluster(runtime::SimRuntime& runtime,
+                                         uint32_t nodes, uint64_t seed) {
+  std::vector<runtime::Endpoint*> endpoints;
+  for (uint32_t i = 0; i < nodes; ++i) {
+    endpoints.push_back(&runtime.AddEndpoint(StrFormat("raft-%u", i)));
+  }
+  return std::make_unique<RaftCluster>(&runtime.transport(),
+                                       std::move(endpoints), seed);
+}
+
 class RaftFixture : public ::testing::Test {
  protected:
   void Build(uint32_t nodes, uint64_t seed = 7) {
-    cluster_ = std::make_unique<RaftCluster>(&env_, nodes, seed);
+    cluster_ = MakeCluster(runtime_, nodes, seed);
     cluster_->Start();
   }
 
   /// Runs until a leader exists (or the deadline passes).
   std::optional<uint32_t> AwaitLeader(sim::SimTime deadline_extra =
                                           5 * sim::kSecond) {
-    const sim::SimTime deadline = env_.Now() + deadline_extra;
-    while (env_.Now() < deadline) {
-      const auto leader = cluster_->FindLeader();
-      if (leader.has_value()) return leader;
-      if (!env_.Step()) break;
-    }
-    return cluster_->FindLeader();
+    return AwaitLeaderOn(env_, *cluster_, deadline_extra);
   }
 
-  sim::Environment env_;
+  static std::optional<uint32_t> AwaitLeaderOn(
+      sim::Environment& env, const RaftCluster& cluster,
+      sim::SimTime deadline_extra = 5 * sim::kSecond) {
+    const sim::SimTime deadline = env.Now() + deadline_extra;
+    while (env.Now() < deadline) {
+      const auto leader = cluster.FindLeader();
+      if (leader.has_value()) return leader;
+      if (!env.Step()) break;
+    }
+    return cluster.FindLeader();
+  }
+
+  runtime::SimRuntime runtime_{runtime::SimRuntime::Options{}};
+  sim::Environment& env_ = runtime_.env();
   std::unique_ptr<RaftCluster> cluster_;
 };
 
@@ -185,11 +205,11 @@ TEST_F(RaftFixture, CrashedReplicaCannotVoteTwiceInATerm) {
   // Double-vote regression: (current_term, voted_for) persist to stable
   // storage on every change and are restored on Resume(), so a replica
   // that crashes mid-election cannot grant its term-T vote twice. The
-  // cluster is never Start()ed — no election timers; node 2 is driven by
-  // hand.
-  sim::Environment env;
-  RaftCluster cluster(&env, 3, 7);
-  RaftNode& voter = cluster.node(2);
+  // cluster is never Start()ed and the event loop never runs — no election
+  // timers, no deliveries; node 2 is driven by hand.
+  runtime::SimRuntime runtime{runtime::SimRuntime::Options{}};
+  const auto cluster = MakeCluster(runtime, 3, 7);
+  RaftNode& voter = cluster->node(2);
 
   voter.Handle(RequestVote{/*term=*/5, /*candidate=*/0,
                            /*last_log_index=*/0, /*last_log_term=*/0});
@@ -212,9 +232,9 @@ TEST_F(RaftFixture, DisablingHardStateRestoreReopensDoubleVoteGap) {
   // The historical gap, reproduced via the test hook: without the restore,
   // a crashed replica forgets its vote and grants term 5 to a second
   // candidate — two leaders in one term become possible.
-  sim::Environment env;
-  RaftCluster cluster(&env, 3, 7);
-  RaftNode& voter = cluster.node(2);
+  runtime::SimRuntime runtime{runtime::SimRuntime::Options{}};
+  const auto cluster = MakeCluster(runtime, 3, 7);
+  RaftNode& voter = cluster->node(2);
   voter.set_persist_hard_state(false);
 
   voter.Handle(RequestVote{5, /*candidate=*/0, 0, 0});
@@ -252,19 +272,98 @@ TEST_F(RaftFixture, ChaosCrashWindowNeverElectsTwoLeadersPerTerm) {
   }
 }
 
+TEST_F(RaftFixture, EachScheduledLeaderCrashKillsOneLeader) {
+  // Every ScheduleLeaderCrash call takes down exactly one replica — the
+  // one leading at its deadline — however many kills a driver schedules.
+  Build(3);
+  ASSERT_TRUE(AwaitLeader().has_value());
+  const sim::SimTime first = env_.Now() + 200 * sim::kMillisecond;
+  const sim::SimTime second = first + 2 * sim::kSecond;
+  cluster_->ScheduleLeaderCrash(first, 500 * sim::kMillisecond);
+  cluster_->ScheduleLeaderCrash(second, 500 * sim::kMillisecond);
+  std::vector<bool> was_stopped(3, false);
+  std::vector<sim::SimTime> crashes;
+  while (env_.Now() < second + sim::kSecond && env_.Step()) {
+    for (uint32_t i = 0; i < 3; ++i) {
+      const bool stopped = cluster_->node(i).stopped();
+      if (stopped && !was_stopped[i]) crashes.push_back(env_.Now());
+      was_stopped[i] = stopped;
+    }
+  }
+  ASSERT_EQ(crashes.size(), 2u);
+  EXPECT_EQ(crashes[0], first);
+  EXPECT_EQ(crashes[1], second);
+}
+
 TEST_F(RaftFixture, DeterministicAcrossRuns) {
   auto run = [](uint64_t seed) {
-    sim::Environment env;
-    RaftCluster cluster(&env, 3, seed);
-    cluster.Start();
-    env.RunUntil(2 * sim::kSecond);
+    runtime::SimRuntime runtime{runtime::SimRuntime::Options{}};
+    const auto cluster = MakeCluster(runtime, 3, seed);
+    cluster->Start();
+    runtime.env().RunUntil(2 * sim::kSecond);
     std::vector<uint64_t> terms;
     for (uint32_t i = 0; i < 3; ++i) {
-      terms.push_back(cluster.node(i).current_term());
+      terms.push_back(cluster->node(i).current_term());
     }
-    return std::make_pair(cluster.FindLeader(), terms);
+    return std::make_pair(cluster->FindLeader(), terms);
   };
   EXPECT_EQ(run(5), run(5));
+}
+
+TEST_F(RaftFixture, PartitionedFollowerCatchesUpAfterTheWindow) {
+  // Raft RPCs ride the runtime transport, so the runtime's fault plan cuts
+  // a replica off like any other node. While one follower is partitioned
+  // from both others, the majority keeps its leader and keeps committing;
+  // once the window closes, the follower is repaired up to the leader's
+  // commit index. The whole scenario replays identically from one seed.
+  static constexpr uint64_t kEntries = 10;
+  using Fingerprint = std::pair<std::vector<uint64_t>, std::vector<uint64_t>>;
+  auto run = [](uint64_t seed, Fingerprint* out) {
+    runtime::SimRuntime runtime{runtime::SimRuntime::Options{}};
+    sim::Environment& env = runtime.env();
+    const auto cluster = MakeCluster(runtime, 3, seed);
+    cluster->Start();
+    const auto leader = AwaitLeaderOn(env, *cluster);
+    ASSERT_TRUE(leader.has_value());
+    const uint32_t victim = (*leader + 1) % 3;
+    const sim::SimTime start = env.Now() + 50 * sim::kMillisecond;
+    const sim::SimTime end = start + 2 * sim::kSecond;
+    for (uint32_t other = 0; other < 3; ++other) {
+      if (other == victim) continue;
+      runtime.injector().PartitionPair(cluster->endpoint(victim).id(),
+                                       cluster->endpoint(other).id(), start,
+                                       end);
+    }
+    env.RunUntil(start);
+    for (uint64_t i = 0; i < kEntries; ++i) {
+      EXPECT_EQ(cluster->FindLeader(), leader) << "entry " << i;
+      EXPECT_TRUE(cluster->Propose(Payload("entry-" + std::to_string(i))));
+      env.RunUntil(env.Now() + 100 * sim::kMillisecond);
+    }
+    env.RunUntil(end - sim::kMillisecond);
+    // The majority committed everything; the cut-off follower nothing.
+    EXPECT_EQ(cluster->FindLeader(), leader);
+    for (uint32_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(cluster->node(i).commit_index(), i == victim ? 0 : kEntries)
+          << "node " << i;
+    }
+
+    env.RunUntil(end + 3 * sim::kSecond);
+    const auto healed_leader = cluster->FindLeader();
+    ASSERT_TRUE(healed_leader.has_value());
+    EXPECT_EQ(cluster->node(victim).commit_index(),
+              cluster->node(*healed_leader).commit_index());
+    EXPECT_EQ(cluster->node(victim).commit_index(), kEntries);
+    for (uint32_t i = 0; i < 3; ++i) {
+      out->first.push_back(cluster->node(i).current_term());
+      out->second.push_back(cluster->node(i).commit_index());
+    }
+  };
+  Fingerprint first, second;
+  run(11, &first);
+  run(11, &second);
+  ASSERT_EQ(first.first.size(), 3u);
+  EXPECT_EQ(first, second);
 }
 
 }  // namespace

@@ -295,8 +295,10 @@ void ExpectSmallbankClusterConverges(uint32_t num_channels) {
   EXPECT_GT(transport.messages, 0u);
   EXPECT_GT(transport.framed_bytes, 0u);
   EXPECT_GT(transport.modeled_bytes, 0u);
-  EXPECT_GT(transport.socket_frames_sent, 0u);
-  EXPECT_EQ(transport.socket_decode_errors, 0u);
+  const runtime::SocketTransport::Counters socket =
+      cluster.clients().transport().counters();
+  EXPECT_GT(socket.frames_sent, 0u);
+  EXPECT_EQ(socket.decode_errors, 0u);
 }
 
 TEST(SocketHostTest, SmallbankClusterConverges) {

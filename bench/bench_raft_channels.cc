@@ -3,7 +3,7 @@
 // (virtual time, byte-reproducible) and then on the thread runtime with
 // 1/2/4/8 channels — each channel a tenant with its own user shard
 // (SmallbankConfig::channel_shards) and, under the thread runtime, its own
-// orderer/peer pipeline lane (FabricConfig::channel_lanes, DESIGN.md §16).
+// orderer/peer pipeline lane (node::ChannelLaneCount, DESIGN.md §16).
 // A final leg kills the Raft leader mid-run on the thread runtime and
 // checks that ordering fails over without dropping a committed block.
 //
@@ -65,7 +65,7 @@ struct Leg {
   std::string runtime;
   uint32_t channels = 1;
   bool leader_kill = false;
-  fabric::RunReport report;
+  fabric::RunReport report{};
   bool converged = true;
   uint64_t min_height = 0;
 };

@@ -166,11 +166,6 @@ Status FabricConfig::Validate() const {
         "protocol); use runtime_mode=\"sim\"/\"thread\" or "
         "ordering_backend=kSolo");
   }
-  if (channel_lanes > 64) {
-    return Status::InvalidArgument(
-        "channel_lanes must be in [0, 64] (0 = one lane per channel, capped "
-        "at 8; 1 = single pipeline per node)");
-  }
   if (*runtime_parsed == runtime::RuntimeMode::kSocket) {
     const size_t want_peers =
         static_cast<size_t>(num_orgs) * static_cast<size_t>(peers_per_org);

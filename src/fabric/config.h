@@ -171,15 +171,6 @@ struct FabricConfig {
   /// chain order via an in-order drain. Must be in [1, 64].
   uint32_t ordering_pipeline_depth = 1;
 
-  /// Per-channel scale-out lanes under the thread runtime: when
-  /// num_channels > 1, the orderer and every peer run each channel's
-  /// pipeline on its own endpoint thread (with its own executor), channels
-  /// assigned round-robin over `channel_lanes` lanes. 0 = auto (one lane
-  /// per channel, capped at 8). 1 = the single-threaded-per-node layout of
-  /// earlier builds. Ignored under "sim" (one event loop regardless) and
-  /// with a single channel. Must be in [0, 64].
-  uint32_t channel_lanes = 0;
-
   // --- Block formation (paper Table 5) ---
   ordering::BatchCutConfig block;
   ordering::ReorderConfig reorder;

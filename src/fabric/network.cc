@@ -87,10 +87,6 @@ runtime::SimRuntime& FabricNetwork::RequireSim(const char* what) const {
 
 sim::Environment& FabricNetwork::env() { return RequireSim("env()").env(); }
 
-sim::Network& FabricNetwork::network() {
-  return RequireSim("network()").network();
-}
-
 sim::FaultInjector& FabricNetwork::fault_injector() {
   return RequireSim("fault_injector()").injector();
 }

@@ -48,13 +48,13 @@ using ClientNode = node::ClientNode;
 ///    mailbox, timers fire off a steady_clock, and messages hand off
 ///    directly between threads. Real concurrency (races surface under
 ///    TSan), but timings are nondeterministic, the sim-only facilities
-///    (env(), network(), fault_injector(), peer-crash scheduling) abort,
+///    (env(), fault_injector(), peer-crash scheduling) abort,
 ///    and RunFor() can be called at most once — it shuts the runtime down
 ///    to guarantee no node activity outlives the measurement. The Raft
 ///    ordering backend runs here too (replicas on their own mailbox
 ///    threads), as does ScheduleRaftLeaderCrash; with several channels the
-///    orderer and peers shard their pipelines across per-channel lanes
-///    (FabricConfig::channel_lanes, DESIGN.md §16).
+///    orderer and peers shard their pipelines across per-channel lanes,
+///    one per channel up to 8 (node::ChannelLaneCount, DESIGN.md §16).
 ///
 /// The topology itself is built by NodeSlice (fabric/node_slice.h), which
 /// is also the node::NodeDirectory the nodes see; FabricNetwork adds the
@@ -116,9 +116,8 @@ class FabricNetwork {
   // --- Component access ---
   /// The execution substrate the nodes run on.
   runtime::Runtime& runtime() { return *runtime_; }
-  /// Simulation-only components; abort under the thread runtime.
+  /// Simulation-only component; aborts under the thread runtime.
   sim::Environment& env();
-  sim::Network& network();
 
   Metrics& metrics() { return metrics_; }
   const FabricConfig& config() const { return config_; }

@@ -1,6 +1,6 @@
 #include "ledger/ledger.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/strings.h"
 
@@ -49,19 +49,13 @@ Status Ledger::Append(StoredBlock stored) {
 }
 
 Result<const StoredBlock*> Ledger::GetBlock(uint64_t number) const {
-  if (number < first_block_) {
-    return Status::OutOfRange(
-        StrFormat("block %llu pruned (first retained block is %llu)",
-                  static_cast<unsigned long long>(number),
-                  static_cast<unsigned long long>(first_block_)));
-  }
   if (number >= Height()) {
     return Status::OutOfRange(
         StrFormat("block %llu beyond chain height %llu",
                   static_cast<unsigned long long>(number),
                   static_cast<unsigned long long>(Height())));
   }
-  return &blocks_[number - first_block_];
+  return &blocks_[number];
 }
 
 Result<std::pair<uint64_t, uint32_t>> Ledger::FindTransaction(
@@ -76,13 +70,13 @@ Result<std::pair<uint64_t, uint32_t>> Ledger::FindTransaction(
 Result<proto::TxValidationCode> Ledger::GetValidationCode(
     const std::string& tx_id) const {
   FABRICPP_ASSIGN_OR_RETURN(const auto loc, FindTransaction(tx_id));
-  return blocks_[loc.first - first_block_].validation_codes[loc.second];
+  return blocks_[loc.first].validation_codes[loc.second];
 }
 
 Status Ledger::VerifyChain() const {
   for (size_t i = 0; i < blocks_.size(); ++i) {
     const proto::Block& block = blocks_[i].block;
-    const uint64_t number = first_block_ + i;
+    const uint64_t number = i;
     if (block.header.number != number) {
       return Status::Internal(
           StrFormat("block %llu has wrong number",
@@ -93,55 +87,14 @@ Status Ledger::VerifyChain() const {
           StrFormat("block %llu data hash mismatch",
                     static_cast<unsigned long long>(number)));
     }
-    // The first retained block is the anchor: its predecessor is pruned (or
-    // it is genesis), so there is no link to check — it was verified before
-    // the prune.
-    if (i > 0) {
-      if (block.header.previous_hash != blocks_[i - 1].block.header.Hash()) {
-        return Status::Internal(
-            StrFormat("block %llu previous-hash link broken",
-                      static_cast<unsigned long long>(number)));
-      }
+    // Genesis has no predecessor to link to.
+    if (i > 0 &&
+        block.header.previous_hash != blocks_[i - 1].block.header.Hash()) {
+      return Status::Internal(
+          StrFormat("block %llu previous-hash link broken",
+                    static_cast<unsigned long long>(number)));
     }
   }
-  return Status::OK();
-}
-
-void Ledger::PruneTo(uint64_t first_retained) {
-  if (first_retained <= first_block_) return;
-  // Keep at least the chain tip so LastHash()/Append keep working.
-  first_retained = std::min<uint64_t>(first_retained, Height() - 1);
-  const size_t drop = static_cast<size_t>(first_retained - first_block_);
-  for (size_t i = 0; i < drop; ++i) {
-    for (const proto::Transaction& tx : blocks_[i].block.transactions) {
-      tx_index_.erase(tx.tx_id);
-    }
-  }
-  blocks_.erase(blocks_.begin(), blocks_.begin() + static_cast<ptrdiff_t>(drop));
-  first_block_ = first_retained;
-}
-
-Status Ledger::RestartFrom(StoredBlock anchor) {
-  if (!anchor.block.VerifyDataHash()) {
-    return Status::FailedPrecondition("anchor block data hash mismatch");
-  }
-  if (anchor.validation_codes.size() != anchor.block.transactions.size()) {
-    return Status::InvalidArgument(
-        "anchor validation codes do not match transaction count");
-  }
-  blocks_.clear();
-  tx_index_.clear();
-  total_txs_ = 0;
-  total_valid_txs_ = 0;
-  first_block_ = anchor.block.header.number;
-  for (uint32_t i = 0; i < anchor.block.transactions.size(); ++i) {
-    tx_index_[anchor.block.transactions[i].tx_id] = {first_block_, i};
-    ++total_txs_;
-    if (anchor.validation_codes[i] == proto::TxValidationCode::kValid) {
-      ++total_valid_txs_;
-    }
-  }
-  blocks_.push_back(std::move(anchor));
   return Status::OK();
 }
 

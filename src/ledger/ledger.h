@@ -26,12 +26,9 @@ struct StoredBlock {
 ///
 /// Every appended block must reference the hash of its predecessor;
 /// VerifyChain() re-hashes the whole chain and is used by integrity tests
-/// and the examples to demonstrate tamper evidence.
-///
-/// Blocks below a state-checkpoint horizon can be pruned (PruneTo): block
-/// bodies are dropped, the first retained block becomes the chain anchor
-/// (its stored previous-hash is trusted — it was verified before pruning),
-/// and Height() keeps counting absolute block numbers.
+/// and the examples to demonstrate tamper evidence. Every block is kept in
+/// memory from genesis on: the transaction index behind DUPLICATE_TXID
+/// replay protection covers the whole chain.
 class Ledger {
  public:
   Ledger();
@@ -41,24 +38,9 @@ class Ledger {
   /// match the transactions.
   Status Append(StoredBlock stored);
 
-  /// Number of blocks including the genesis block and any pruned prefix —
-  /// i.e. the next block number to append.
-  uint64_t Height() const { return first_block_ + blocks_.size(); }
-
-  /// Number of the oldest block still stored (0 until pruned).
-  uint64_t first_block() const { return first_block_; }
-  size_t NumStoredBlocks() const { return blocks_.size(); }
-
-  /// Drops all blocks below `first_retained` (clamped to keep at least the
-  /// chain tip). Pruned transactions leave the index; lifetime totals are
-  /// unchanged. No-op when `first_retained` is at or below first_block().
-  void PruneTo(uint64_t first_retained);
-
-  /// Resets the ledger to start at `anchor` (a previously verified block of
-  /// number >= 0) — how a pruned persistent ledger file is reopened. The
-  /// anchor's previous-hash cannot be checked (its predecessor is gone) and
-  /// is trusted; its data hash is still verified by VerifyChain.
-  Status RestartFrom(StoredBlock anchor);
+  /// Number of blocks including the genesis block — i.e. the next block
+  /// number to append.
+  uint64_t Height() const { return blocks_.size(); }
 
   /// Hash of the last block (what the next header must link to).
   crypto::Digest LastHash() const;
@@ -77,15 +59,13 @@ class Ledger {
   /// Re-hashes every block and checks all links and data hashes.
   Status VerifyChain() const;
 
-  /// Totals across all stored blocks.
+  /// Totals across all blocks.
   uint64_t TotalTransactions() const { return total_txs_; }
   uint64_t TotalValidTransactions() const { return total_valid_txs_; }
 
  private:
-  /// blocks_[i] holds block number first_block_ + i; blocks_[0] is the
-  /// genesis block until the chain is pruned.
+  /// blocks_[i] holds block number i; blocks_[0] is the genesis block.
   std::vector<StoredBlock> blocks_;
-  uint64_t first_block_ = 0;
   std::unordered_map<std::string, std::pair<uint64_t, uint32_t>> tx_index_;
   uint64_t total_txs_ = 0;
   uint64_t total_valid_txs_ = 0;

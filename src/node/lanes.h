@@ -13,17 +13,15 @@ namespace fabricpp::node {
 ///
 /// Lanes exist to scale multi-channel workloads across cores under the
 /// thread runtime: each lane is its own endpoint thread (plus executor),
-/// and channels are assigned round-robin, so independent channels stop
-/// serializing on one node mailbox. Under the simulation runtime there is
-/// exactly one lane regardless — the sim is single-threaded and its event
-/// order (and with it every fingerprint) must not depend on the knob.
+/// one per channel up to 8, and channels are assigned round-robin, so
+/// independent channels stop serializing on one node mailbox. Under the
+/// simulation runtime there is exactly one lane regardless — the sim is
+/// single-threaded and its event order (and with it every fingerprint)
+/// must not depend on the lane count.
 inline uint32_t ChannelLaneCount(const fabric::FabricConfig& config,
                                  runtime::RuntimeMode mode) {
   if (mode != runtime::RuntimeMode::kThread) return 1;
-  if (config.num_channels <= 1) return 1;
-  uint32_t lanes = config.channel_lanes;
-  if (lanes == 0) lanes = std::min<uint32_t>(config.num_channels, 8);
-  return std::min(lanes, config.num_channels);
+  return std::min<uint32_t>(config.num_channels, 8);
 }
 
 /// The lane a channel's pipeline runs on.

@@ -89,7 +89,7 @@ std::vector<uint8_t> Validator::VerifyEndorsements(
 }
 
 BlockValidationResult Validator::ValidateAndCommit(
-    const proto::Block& block, statedb::StateStore* db,
+    const proto::Block& block, statedb::StateDb* db,
     ledger::Ledger* ledger) const {
   BlockValidationResult result;
   result.codes.resize(block.transactions.size(),
@@ -107,9 +107,9 @@ BlockValidationResult Validator::ValidateAndCommit(
 
   // Stage 2 — commit: replay protection, MVCC, write application, ledger
   // append. Writes are *deferred*: valid transactions accumulate into one
-  // block-level batch that is applied atomically at the end, so a crash
-  // mid-block can never leave the store with some transactions' writes but
-  // not others (or writes ahead of the recorded height).
+  // block-level batch that is applied at the end together with the new
+  // height, so no reader of the state db sees writes ahead of the recorded
+  // height.
   const auto commit_start = std::chrono::steady_clock::now();
   std::vector<statedb::VersionedWrite> block_writes;
   // Transactions are checked in block order, as in Fabric (§2.2.4): each
@@ -171,16 +171,9 @@ BlockValidationResult Validator::ValidateAndCommit(
     }
   }
 
-  // One atomic commit for the whole block: every valid write and the new
-  // height land together (a persistent store turns this into a single WAL
-  // append + group-commit fsync).
-  const Status apply_status = db->ApplyBlock(block_writes,
-                                             block.header.number);
-  if (!apply_status.ok()) {
-    FABRICPP_LOG(Error) << "block " << block.header.number
-                        << " state commit failed: "
-                        << apply_status.ToString();
-  }
+  // One commit for the whole block: every valid write and the new height
+  // land together.
+  db->ApplyBlock(block_writes, block.header.number);
 
   if (ledger != nullptr) {
     ledger::StoredBlock stored;

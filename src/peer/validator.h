@@ -90,12 +90,10 @@ class Validator {
   /// including updates made by *earlier valid transactions of the same
   /// block*, which is exactly the within-block conflict the Fabric++
   /// reorderer minimizes. In-block updates are tracked in a version
-  /// overlay; the store itself is mutated exactly once, by a single atomic
-  /// StateStore::ApplyBlock carrying every valid write plus the new height
-  /// (group commit — one WAL append, at most one fsync on a persistent
-  /// store).
+  /// overlay; the state db itself is mutated exactly once, by a single
+  /// StateDb::ApplyBlock carrying every valid write plus the new height.
   BlockValidationResult ValidateAndCommit(const proto::Block& block,
-                                          statedb::StateStore* db,
+                                          statedb::StateDb* db,
                                           ledger::Ledger* ledger) const;
 
  private:

@@ -1,6 +1,6 @@
 #include "proto/wire_format.h"
 
-#include "storage/crc32.h"
+#include "proto/crc32.h"
 
 namespace fabricpp::proto {
 
@@ -89,7 +89,7 @@ void AppendFrame(Bytes* out, WireMessageType type, const Bytes& payload) {
   w.PutU8(0);
   w.PutRaw(payload.data(), payload.size());
   const uint32_t crc =
-      storage::Crc32(out->data() + crc_begin, out->size() - crc_begin);
+      Crc32(out->data() + crc_begin, out->size() - crc_begin);
   w.PutU32(crc);
 }
 
@@ -141,7 +141,7 @@ Result<bool> FrameDecoder::Next(Frame* out) {
   }
   const size_t payload_size = frame_len - kMinFrameLen;
   const uint32_t want_crc = ReadU32At(base + 4 + frame_len - 4);
-  const uint32_t got_crc = storage::Crc32(base + 4, frame_len - 4);
+  const uint32_t got_crc = Crc32(base + 4, frame_len - 4);
   if (want_crc != got_crc) {
     poisoned_ = true;
     return Status::DataLoss("frame CRC mismatch");

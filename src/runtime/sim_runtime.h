@@ -32,7 +32,6 @@ class SimRuntime final : public Runtime {
 
   // --- Simulation-only facilities (fault plans, event-loop driving) ---
   sim::Environment& env() { return env_; }
-  sim::Network& network() { return net_; }
   sim::FaultInjector& injector() { return injector_; }
 
   // --- Runtime interface ---

@@ -63,8 +63,8 @@ void StateDb::ApplyWrites(const std::vector<proto::WriteItem>& writes,
   }
 }
 
-Status StateDb::ApplyBlock(const std::vector<VersionedWrite>& writes,
-                           uint64_t height) {
+void StateDb::ApplyBlock(const std::vector<VersionedWrite>& writes,
+                         uint64_t height) {
   for (const VersionedWrite& vw : writes) {
     if (vw.write.is_delete) {
       Erase(vw.write.key);
@@ -73,7 +73,6 @@ Status StateDb::ApplyBlock(const std::vector<VersionedWrite>& writes,
     }
   }
   last_committed_block_ = height;
-  return Status::OK();
 }
 
 void StateDb::ForEach(const std::function<void(const std::string&,

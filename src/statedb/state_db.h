@@ -23,46 +23,21 @@ struct VersionedValue {
 };
 
 /// One write paired with the MVCC version it commits at — the unit of the
-/// block-level atomic commit path (StateStore::ApplyBlock).
+/// block-level atomic commit path (StateDb::ApplyBlock).
 struct VersionedWrite {
   proto::WriteItem write;
   proto::Version version;
 };
 
-/// The commit-side contract a validator writes through, shared by the
-/// in-memory StateDb and the LSM-backed PersistentStateDb: version lookups
-/// for the MVCC check, the height bookmark, and the atomic block-level
-/// write batch.
-///
-/// ApplyBlock is the *only* mutation on the commit path: all writes of a
-/// block plus the new height are applied as one unit, so no observer (and,
-/// for the persistent store, no crash) can see state writes at a stale
-/// height — the invariant the Fabric++ fine-grained early abort (paper
-/// §5.2.1) compares read versions against.
-class StateStore {
- public:
-  virtual ~StateStore() = default;
-
-  /// Returns the version of `key`, or kNilVersion if absent.
-  virtual proto::Version GetVersion(const std::string& key) const = 0;
-
-  /// The id of the last block whose writes have been fully applied.
-  virtual uint64_t last_committed_block() const = 0;
-
-  /// Atomically applies all `writes` of one block (in order — a later
-  /// write to the same key wins) and advances last_committed_block to
-  /// `height`. Either every write and the height take effect, or none do.
-  virtual Status ApplyBlock(const std::vector<VersionedWrite>& writes,
-                            uint64_t height) = 0;
-};
-
 /// The peer's current-state database: key -> (value, version).
 ///
-/// Mirrors Fabric's LevelDB-backed state store (paper §2.1): the state is
-/// the result of applying all *valid* transactions in ledger order, and
-/// every value carries the (block, tx) version of the transaction that last
-/// wrote it. The validator's MVCC serializability check and the Fabric++
-/// fine-grained stale-read detection both compare against these versions.
+/// Mirrors Fabric's LevelDB-backed state store (paper §2.1) in memory: the
+/// state is the result of applying all *valid* transactions in ledger
+/// order, and every value carries the (block, tx) version of the
+/// transaction that last wrote it. The validator's MVCC serializability
+/// check and the Fabric++ fine-grained stale-read detection both compare
+/// against these versions. A restarted peer rebuilds it by fetching the
+/// chain again (DESIGN.md §14).
 ///
 /// A StateDb may sit on an immutable *genesis* layer (DESIGN.md §17): the
 /// workload's initial state, seeded once per process and shared read-only by
@@ -77,7 +52,7 @@ class StateStore {
 /// §16). A shared genesis is only ever read. Concurrency *semantics*
 /// (vanilla's coarse simulation/validation lock vs Fabric++'s lock-free
 /// version checks) are modeled in virtual time by node::PeerNode.
-class StateDb : public StateStore {
+class StateDb {
  public:
   StateDb() = default;
 
@@ -90,7 +65,7 @@ class StateDb : public StateStore {
   Result<VersionedValue> Get(const std::string& key) const;
 
   /// Returns the version of `key`, or kNilVersion if absent.
-  proto::Version GetVersion(const std::string& key) const override;
+  proto::Version GetVersion(const std::string& key) const;
 
   /// Direct write used for genesis/bootstrap state (version = kNilVersion's
   /// block, i.e. block 0). Workloads use this to install initial balances.
@@ -102,17 +77,20 @@ class StateDb : public StateStore {
   void ApplyWrites(const std::vector<proto::WriteItem>& writes,
                    proto::Version version);
 
-  /// See StateStore::ApplyBlock. In memory the atomicity is trivial (no
-  /// crash to tear it), but routing commits through the same entry point
-  /// keeps the validator's commit stage identical for both backends.
-  Status ApplyBlock(const std::vector<VersionedWrite>& writes,
-                    uint64_t height) override;
+  /// Applies all `writes` of one block (in order — a later write to the
+  /// same key wins) and advances last_committed_block to `height`, as one
+  /// unit. This is the *only* mutation on the commit path, so no observer
+  /// sees state writes at a stale height — the invariant the Fabric++
+  /// fine-grained early abort (paper §5.2.1) compares read versions
+  /// against.
+  void ApplyBlock(const std::vector<VersionedWrite>& writes,
+                  uint64_t height);
 
   /// Height bookkeeping: the id of the last block whose writes have been
   /// fully applied. Fabric++'s simulation-phase early abort compares read
   /// versions against the value this had when the simulation started
   /// ("last-block-ID", paper Figure 6).
-  uint64_t last_committed_block() const override {
+  uint64_t last_committed_block() const {
     return last_committed_block_;
   }
   void set_last_committed_block(uint64_t b) { last_committed_block_ = b; }

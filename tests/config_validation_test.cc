@@ -276,17 +276,6 @@ TEST(ConfigValidationTest, RaftTimingKnobs) {
   ExpectInvalid(config, "heartbeat_interval >= election_timeout_min");
 }
 
-TEST(ConfigValidationTest, ChannelLanesBounds) {
-  auto config = Base();
-  config.channel_lanes = 65;
-  ExpectInvalid(config, "channel_lanes = 65");
-
-  config.channel_lanes = 0;  // Auto: one lane per channel, capped at 8.
-  EXPECT_TRUE(config.Validate().ok());
-  config.channel_lanes = 64;
-  EXPECT_TRUE(config.Validate().ok());
-}
-
 TEST(ConfigValidationTest, MailboxCapacity) {
   auto config = Base();
   config.mailbox_capacity = 15;

@@ -3,14 +3,11 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "chaincode/chaincode.h"
 #include "ledger/ledger.h"
 #include "peer/endorser.h"
 #include "peer/policy.h"
 #include "peer/validator.h"
-#include "statedb/persistent_state_db.h"
 #include "statedb/state_db.h"
 
 namespace fabricpp::peer {
@@ -443,45 +440,6 @@ TEST_F(PeerFixture, CommitWithoutLedgerIsAllowed) {
       MakeBlock(1, {MakeTransaction(TransferProposal("5"))});
   const auto result = validator_.ValidateAndCommit(block, &db_, nullptr);
   EXPECT_EQ(result.num_valid, 1u);
-}
-
-TEST_F(PeerFixture, CommitThroughPersistentStoreIsOneGroupCommitAppend) {
-  namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() / "fabricpp_peer_psdb").string();
-  fs::remove_all(dir);
-  storage::DbOptions options;
-  options.sync_mode = storage::WalSyncMode::kBlock;
-  auto pdb = statedb::PersistentStateDb::Open(dir, options);
-  ASSERT_TRUE(pdb.ok());
-  // Mirror the fixture's seeded state so endorsements (made against the
-  // in-memory db) validate against the persistent store too.
-  ASSERT_TRUE((*pdb)->SeedInitialState("bal_A", "100").ok());
-  ASSERT_TRUE((*pdb)->SeedInitialState("bal_B", "50").ok());
-  const uint64_t appends_before = (*pdb)->raw_db().wal_appends();
-  ASSERT_EQ((*pdb)->raw_db().wal_syncs(), 0u);  // Seeds don't group-commit.
-
-  // Two transfers endorsed against the same snapshot: the first commits,
-  // the second must MVCC-conflict via the in-block version overlay (the
-  // store itself is untouched until the final atomic ApplyBlock).
-  const proto::Block block =
-      MakeBlock(1, {MakeTransaction(TransferProposal("30")),
-                    MakeTransaction(TransferProposal("20"))});
-  const auto result =
-      validator_.ValidateAndCommit(block, pdb->get(), &ledger_);
-  EXPECT_EQ(result.codes[0], proto::TxValidationCode::kValid);
-  EXPECT_EQ(result.codes[1], proto::TxValidationCode::kMvccConflict);
-
-  // The whole block commit is ONE WAL append and ONE fsync, regardless of
-  // write-set size — the group-commit guarantee.
-  EXPECT_EQ((*pdb)->raw_db().wal_appends(), appends_before + 1);
-  EXPECT_EQ((*pdb)->raw_db().wal_syncs(), 1u);
-  EXPECT_EQ((*pdb)->last_committed_block(), 1u);
-  const auto bal_a = (*pdb)->Get("bal_A");
-  ASSERT_TRUE(bal_a.ok());
-  EXPECT_EQ(bal_a->value, "70");
-  EXPECT_EQ(bal_a->version, (proto::Version{1, 0}));
-  fs::remove_all(dir);
 }
 
 }  // namespace

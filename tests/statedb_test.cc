@@ -85,7 +85,7 @@ TEST(StateDbTest, ApplyBlockAppliesWritesInOrderAndAdvancesHeight) {
   writes.push_back({{"b", "9", false}, Version{3, 1}});
   writes.push_back({{"a", "5", false}, Version{3, 2}});  // Later write wins.
   writes.push_back({{"c", "", true}, Version{3, 2}});    // Delete no-op-safe.
-  ASSERT_TRUE(db.ApplyBlock(writes, 3).ok());
+  db.ApplyBlock(writes, 3);
   EXPECT_EQ(db.Get("a")->value, "5");
   EXPECT_EQ(db.GetVersion("a"), (Version{3, 2}));
   EXPECT_EQ(db.Get("b")->value, "9");
@@ -180,8 +180,8 @@ TEST(StateDbTest, GenesisLayerMatchesFlatDatabaseUnderRandomWrites) {
         for (uint32_t tx = 0; tx < 4; ++tx) {
           block.push_back({random_write(step + tx), Version{step, tx}});
         }
-        ASSERT_TRUE(flat.ApplyBlock(block, step).ok());
-        ASSERT_TRUE(layered.ApplyBlock(block, step).ok());
+        flat.ApplyBlock(block, step);
+        layered.ApplyBlock(block, step);
         break;
       }
     }
@@ -196,7 +196,7 @@ TEST(StateDbTest, LayersOnOneGenesisAreIsolated) {
   StateDb y(genesis);
   x.ApplyWrites({{"k0", "x0", false}, {"fresh", "x", false}}, Version{1, 0});
   y.ApplyWrites({{"k1", "", true}}, Version{1, 0});
-  ASSERT_TRUE(y.ApplyBlock({{{"k2", "y2", false}, Version{2, 0}}}, 2).ok());
+  y.ApplyBlock({{{"k2", "y2", false}, Version{2, 0}}}, 2);
 
   EXPECT_EQ(x.Get("k0")->value, "x0");
   EXPECT_EQ(y.Get("k0")->value, "g0");
@@ -238,7 +238,7 @@ TEST(StateDbTest, SharedGenesisConcurrentLayers) {
         block.push_back(
             {{"k" + std::to_string(i), "", true}, Version{i + 1, 2}});
       }
-      (void)db->ApplyBlock(block, i + 1);
+      db->ApplyBlock(block, i + 1);
     }
   };
 
@@ -594,196 +594,6 @@ TEST_F(ChaincodeFixture, CustomRejectsBadCounts) {
   EXPECT_FALSE(Invoke("custom", {}).ok());
   EXPECT_FALSE(Invoke("custom", {"5", "only_one"}).ok());
   EXPECT_FALSE(Invoke("custom", {"-1"}).ok());
-}
-
-}  // namespace
-}  // namespace fabricpp
-
-// --- PersistentStateDb (LSM-backed) ---
-
-#include <filesystem>
-
-#include "statedb/persistent_state_db.h"
-
-namespace fabricpp {
-namespace {
-
-class PersistentStateDbTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("fabricpp_psdb_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name())))
-               .string();
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::string dir_;
-};
-
-TEST_F(PersistentStateDbTest, BasicVersionedReadsAndWrites) {
-  auto db = statedb::PersistentStateDb::Open(dir_);
-  ASSERT_TRUE(db.ok());
-  ASSERT_TRUE((*db)->SeedInitialState("balA", "100").ok());
-  EXPECT_EQ((*db)->GetVersion("balA"), proto::kNilVersion);
-  ASSERT_TRUE(
-      (*db)->ApplyWrites({{"balA", "70", false}}, Version{3, 1}).ok());
-  const auto vv = (*db)->Get("balA");
-  ASSERT_TRUE(vv.ok());
-  EXPECT_EQ(vv->value, "70");
-  EXPECT_EQ(vv->version, (Version{3, 1}));
-  ASSERT_TRUE((*db)->ApplyWrites({{"balA", "", true}}, Version{4, 0}).ok());
-  EXPECT_EQ((*db)->Get("balA").status().code(), StatusCode::kNotFound);
-}
-
-TEST_F(PersistentStateDbTest, SurvivesReopen) {
-  {
-    auto db = statedb::PersistentStateDb::Open(dir_);
-    ASSERT_TRUE(db.ok());
-    ASSERT_TRUE(
-        (*db)->ApplyWrites({{"k", "v", false}}, Version{7, 2}).ok());
-    ASSERT_TRUE((*db)->set_last_committed_block(7).ok());
-  }
-  auto db = statedb::PersistentStateDb::Open(dir_);
-  ASSERT_TRUE(db.ok());
-  EXPECT_EQ((*db)->last_committed_block(), 7u);
-  const auto vv = (*db)->Get("k");
-  ASSERT_TRUE(vv.ok());
-  EXPECT_EQ(vv->value, "v");
-  EXPECT_EQ(vv->version, (Version{7, 2}));
-}
-
-TEST_F(PersistentStateDbTest, MatchesInMemoryImplementation) {
-  // Drive the same random write batches through both implementations and
-  // compare the full final state (versions included).
-  auto persistent = statedb::PersistentStateDb::Open(dir_);
-  ASSERT_TRUE(persistent.ok());
-  StateDb memory;
-  Rng rng(77);
-  for (uint64_t block = 1; block <= 30; ++block) {
-    for (uint32_t tx = 0; tx < 10; ++tx) {
-      std::vector<proto::WriteItem> writes;
-      const int num_writes = 1 + rng.NextUint64(4);
-      for (int w = 0; w < num_writes; ++w) {
-        const std::string key = "key" + std::to_string(rng.NextUint64(50));
-        if (rng.NextBool(0.1)) {
-          writes.push_back({key, "", true});
-        } else {
-          writes.push_back({key, std::to_string(rng.Next()), false});
-        }
-      }
-      const Version version{block, tx};
-      memory.ApplyWrites(writes, version);
-      ASSERT_TRUE((*persistent)->ApplyWrites(writes, version).ok());
-    }
-    ASSERT_TRUE((*persistent)->set_last_committed_block(block).ok());
-    memory.set_last_committed_block(block);
-  }
-  StateDb exported;
-  (*persistent)->ExportTo(&exported);
-  EXPECT_EQ(exported.NumKeys(), memory.NumKeys());
-  EXPECT_EQ(exported.last_committed_block(), memory.last_committed_block());
-  memory.ForEach([&](const std::string& key,
-                     const statedb::VersionedValue& vv) {
-    const auto other = exported.Get(key);
-    ASSERT_TRUE(other.ok()) << key;
-    EXPECT_EQ(other->value, vv.value) << key;
-    EXPECT_EQ(other->version, vv.version) << key;
-  });
-}
-
-}  // namespace
-}  // namespace fabricpp
-
-// --- PersistentLedger (block file store) ---
-
-#include "ledger/block_store.h"
-
-namespace fabricpp {
-namespace {
-
-class PersistentLedgerTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("fabricpp_ledgerfile_" +
-              std::string(::testing::UnitTest::GetInstance()
-                              ->current_test_info()
-                              ->name())))
-                .string();
-    std::filesystem::remove(path_);
-  }
-  void TearDown() override { std::filesystem::remove(path_); }
-
-  static ledger::StoredBlock NextBlock(const ledger::Ledger& chain,
-                                       const std::string& tx_id) {
-    ledger::StoredBlock stored;
-    stored.block.header.number = chain.Height();
-    stored.block.header.previous_hash = chain.LastHash();
-    proto::Transaction tx;
-    tx.tx_id = tx_id;
-    stored.block.transactions.push_back(std::move(tx));
-    stored.block.SealDataHash();
-    stored.validation_codes = {proto::TxValidationCode::kValid};
-    return stored;
-  }
-
-  std::string path_;
-};
-
-TEST_F(PersistentLedgerTest, AppendAndRecover) {
-  {
-    auto ledger = ledger::PersistentLedger::Open(path_);
-    ASSERT_TRUE(ledger.ok());
-    for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE(
-          (*ledger)
-              ->Append(NextBlock((*ledger)->ledger(),
-                                 "tx" + std::to_string(i)))
-              .ok());
-    }
-    EXPECT_EQ((*ledger)->ledger().Height(), 6u);
-  }
-  auto ledger = ledger::PersistentLedger::Open(path_);
-  ASSERT_TRUE(ledger.ok());
-  EXPECT_EQ((*ledger)->blocks_recovered(), 5u);
-  EXPECT_EQ((*ledger)->ledger().Height(), 6u);
-  EXPECT_TRUE((*ledger)->ledger().VerifyChain().ok());
-  EXPECT_TRUE((*ledger)->ledger().FindTransaction("tx3").ok());
-  // And it keeps accepting blocks.
-  ASSERT_TRUE(
-      (*ledger)->Append(NextBlock((*ledger)->ledger(), "tx-post")).ok());
-}
-
-TEST_F(PersistentLedgerTest, TornTailDropsLastBlockOnly) {
-  {
-    auto ledger = ledger::PersistentLedger::Open(path_);
-    ASSERT_TRUE(ledger.ok());
-    ASSERT_TRUE((*ledger)->Append(NextBlock((*ledger)->ledger(), "a")).ok());
-    ASSERT_TRUE((*ledger)->Append(NextBlock((*ledger)->ledger(), "b")).ok());
-  }
-  std::filesystem::resize_file(path_, std::filesystem::file_size(path_) - 3);
-  auto ledger = ledger::PersistentLedger::Open(path_);
-  ASSERT_TRUE(ledger.ok());
-  EXPECT_EQ((*ledger)->blocks_recovered(), 1u);
-  EXPECT_TRUE((*ledger)->ledger().FindTransaction("a").ok());
-  EXPECT_FALSE((*ledger)->ledger().FindTransaction("b").ok());
-}
-
-TEST_F(PersistentLedgerTest, PreservesValidationCodes) {
-  {
-    auto ledger = ledger::PersistentLedger::Open(path_);
-    ASSERT_TRUE(ledger.ok());
-    ledger::StoredBlock stored = NextBlock((*ledger)->ledger(), "bad-tx");
-    stored.validation_codes = {proto::TxValidationCode::kMvccConflict};
-    ASSERT_TRUE((*ledger)->Append(std::move(stored)).ok());
-  }
-  auto ledger = ledger::PersistentLedger::Open(path_);
-  ASSERT_TRUE(ledger.ok());
-  EXPECT_EQ(*(*ledger)->ledger().GetValidationCode("bad-tx"),
-            proto::TxValidationCode::kMvccConflict);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Wire-protocol tests (DESIGN.md §15): framing round-trips for every
-// message type, the stream-error vs. message-error contract, partial-read
-// reassembly at hostile chunk boundaries, and a malformed-bytes sweep over
-// a recorded frame — every flip/truncation must produce a clean Status,
-// never a crash or an allocation blow-up (the sweep is what the sanitizer
-// CI job leans on).
+// Wire-protocol tests (DESIGN.md §15): the CRC-32 frame checksum, framing
+// round-trips for every message type, the stream-error vs. message-error
+// contract, partial-read reassembly at hostile chunk boundaries, and a
+// malformed-bytes sweep over a recorded frame — every flip/truncation must
+// produce a clean Status, never a crash or an allocation blow-up (the sweep
+// is what the sanitizer CI job leans on).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -12,6 +12,7 @@
 
 #include "common/bytes.h"
 #include "node/wire.h"
+#include "proto/crc32.h"
 #include "proto/wire_format.h"
 
 namespace fabricpp::proto {
@@ -81,6 +82,30 @@ Frame RoundTrip(WireMessageType type, const Bytes& payload) {
   EXPECT_TRUE(more.ok() && !*more) << "one frame in, one frame out";
   return frame;
 }
+
+// --- CRC-32, the frame checksum ---
+
+TEST(Crc32Test, KnownVectors) {
+  // "123456789" -> 0xcbf43926 is the canonical check value.
+  EXPECT_EQ(Crc32("123456789", 9), 0xcbf43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+}
+
+TEST(Crc32Test, IncrementalMatchesOneShot) {
+  const std::string data = "hello fabric++ wire frame";
+  uint32_t crc = 0;
+  for (const char c : data) crc = Crc32Extend(crc, &c, 1);
+  EXPECT_EQ(crc, Crc32(data.data(), data.size()));
+}
+
+TEST(Crc32Test, DetectsBitFlip) {
+  std::string data = "payload";
+  const uint32_t good = Crc32(data.data(), data.size());
+  data[3] ^= 1;
+  EXPECT_NE(Crc32(data.data(), data.size()), good);
+}
+
+// --- Framing ---
 
 TEST(WireFormatTest, TypeRegistryIsStable) {
   // Wire-stable values: renumbering is a protocol break, so pin them.

@@ -9,6 +9,15 @@
 #include "proto/wire_format.h"
 
 namespace fabricpp::node {
+namespace {
+
+/// The encoded size of a proto::BlockMsg carrying `block`.
+size_t BlockPayloadSize(uint32_t channel, const proto::Block& block) {
+  const proto::BlockMsg msg{channel, block};
+  return msg.Encode().size();
+}
+
+}  // namespace
 
 LocalMesh::LocalMesh(fabric::Metrics* metrics, NodeDirectory* directory,
                      runtime::Runtime* runtime, bool measure_wire_bytes)
@@ -113,27 +122,39 @@ void LocalMesh::SendOutcome(runtime::Endpoint& from, const std::string& client,
   }
 }
 
-void LocalMesh::SendBlock(runtime::Endpoint& from, uint32_t peer_index,
-                          uint32_t channel,
-                          std::shared_ptr<proto::Block> block,
-                          uint64_t block_bytes) {
+void LocalMesh::DeliverBlock(runtime::Endpoint& from, uint32_t peer_index,
+                             uint32_t channel,
+                             const std::shared_ptr<proto::Block>& block,
+                             uint64_t block_bytes) {
   PeerNode* peer = &directory_->peer(peer_index);
   transport().Send(from, peer->endpoint_for(channel), block_bytes,
                    [peer, channel, block]() {
                      peer->HandleBlock(channel, block);
                    });
+}
+
+void LocalMesh::SendBlock(runtime::Endpoint& from, uint32_t peer_index,
+                          uint32_t channel,
+                          std::shared_ptr<proto::Block> block,
+                          uint64_t block_bytes) {
+  DeliverBlock(from, peer_index, channel, block, block_bytes);
   if (measure_wire_bytes_) {
-    const proto::BlockMsg msg{channel, *block};
-    Measure(msg.Encode().size(), block_bytes);
+    Measure(BlockPayloadSize(channel, *block), block_bytes);
   }
 }
 
 void LocalMesh::BroadcastBlock(runtime::Endpoint& from, uint32_t channel,
                                std::shared_ptr<proto::Block> block,
                                uint64_t block_bytes) {
-  for (uint32_t p = 0; p < directory_->num_peers(); ++p) {
-    SendBlock(from, p, channel, block, block_bytes);
+  const uint32_t num_peers = static_cast<uint32_t>(directory_->num_peers());
+  for (uint32_t p = 0; p < num_peers; ++p) {
+    DeliverBlock(from, p, channel, block, block_bytes);
   }
+  if (!measure_wire_bytes_) return;
+  // Every peer's frame carries the same payload, so one encode, after all
+  // deliveries are posted, measures them all.
+  const size_t payload_size = BlockPayloadSize(channel, *block);
+  for (uint32_t p = 0; p < num_peers; ++p) Measure(payload_size, block_bytes);
 }
 
 void LocalMesh::SendChainInfo(runtime::Endpoint& from, uint32_t peer_index,

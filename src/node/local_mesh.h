@@ -47,7 +47,8 @@ class LocalMesh : public Mesh {
   void SendBlock(runtime::Endpoint& from, uint32_t peer_index,
                  uint32_t channel, std::shared_ptr<proto::Block> block,
                  uint64_t block_bytes) override;
-  /// Direct to every peer, one SendBlock each.
+  /// Direct to every peer: posts every delivery, then encodes the block
+  /// once to measure all of them.
   void BroadcastBlock(runtime::Endpoint& from, uint32_t channel,
                       std::shared_ptr<proto::Block> block,
                       uint64_t block_bytes) override;
@@ -62,6 +63,11 @@ class LocalMesh : public Mesh {
   /// `payload_size` is the encoded wire payload's size; `modeled` what the
   /// cost model charged.
   void Measure(size_t payload_size, uint64_t modeled);
+  /// Posts `block` to `peer_index`'s lane for `channel`.
+  void DeliverBlock(runtime::Endpoint& from, uint32_t peer_index,
+                    uint32_t channel,
+                    const std::shared_ptr<proto::Block>& block,
+                    uint64_t block_bytes);
 
   fabric::Metrics* metrics_;
   NodeDirectory* directory_;

@@ -8,29 +8,24 @@
 
 namespace fabricpp::statedb {
 
-StateDb::StateDb(std::shared_ptr<const StateDb> genesis)
-    : genesis_(std::move(genesis)),
-      num_keys_(genesis_ == nullptr ? 0 : genesis_->NumKeys()) {}
-
-const VersionedValue* StateDb::Find(const std::string& key) const {
-  const auto it = map_.find(key);
-  if (it != map_.end()) return &it->second;
-  if (genesis_ == nullptr || tombstones_.count(key) > 0) return nullptr;
-  return genesis_->Find(key);
+StateDb::StateDb(std::shared_ptr<const StateDb> genesis) {
+  if (genesis == nullptr) return;
+  *this = *genesis;
+  last_committed_block_ = 0;
 }
 
 void StateDb::Put(const std::string& key, VersionedValue vv) {
   const bool inserted = map_.insert_or_assign(key, std::move(vv)).second;
   // A new local entry grows the merged view unless it shadows a live
-  // genesis key; it revives a tombstoned one.
-  if (inserted && (tombstones_.erase(key) > 0 || !InGenesis(key))) {
+  // seeded key; it revives a tombstoned one.
+  if (inserted && (tombstones_.erase(key) > 0 || !Seeded(key))) {
     ++num_keys_;
   }
 }
 
 void StateDb::Erase(const std::string& key) {
   const bool was_local = map_.erase(key) > 0;
-  if (InGenesis(key)) {
+  if (Seeded(key)) {
     if (tombstones_.insert(key).second) --num_keys_;
   } else if (was_local) {
     --num_keys_;
@@ -38,17 +33,29 @@ void StateDb::Erase(const std::string& key) {
 }
 
 Result<VersionedValue> StateDb::Get(const std::string& key) const {
-  const VersionedValue* vv = Find(key);
-  if (vv == nullptr) return Status::NotFound("key not found: " + key);
-  return *vv;
+  if (const auto it = map_.find(key); it != map_.end()) return it->second;
+  if (seed_ != nullptr) {
+    const std::optional<uint32_t> entry = seed_->Find(key);
+    if (entry.has_value() && tombstones_.count(key) == 0) {
+      return VersionedValue{std::string(seed_->value(*entry)),
+                            proto::kNilVersion};
+    }
+  }
+  return Status::NotFound("key not found: " + key);
 }
 
 proto::Version StateDb::GetVersion(const std::string& key) const {
-  const VersionedValue* vv = Find(key);
-  return vv == nullptr ? proto::kNilVersion : vv->version;
+  const auto it = map_.find(key);
+  return it == map_.end() ? proto::kNilVersion : it->second.version;
 }
 
 void StateDb::SeedInitialState(const std::string& key, std::string value) {
+  if (seed_ == nullptr) seed_ = std::make_shared<SeedTable>();
+  if (seed_.use_count() == 1 && map_.count(key) == 0 &&
+      tombstones_.count(key) == 0) {
+    if (seed_->Put(key, value)) ++num_keys_;
+    return;
+  }
   Put(key, VersionedValue{std::move(value), proto::kNilVersion});
 }
 
@@ -75,37 +82,85 @@ void StateDb::ApplyBlock(const std::vector<VersionedWrite>& writes,
   last_committed_block_ = height;
 }
 
+std::vector<bool> StateDb::ShadowedSeedEntries() const {
+  std::vector<bool> shadowed(seed_ == nullptr ? 0 : seed_->size(), false);
+  if (seed_ == nullptr) return shadowed;
+  for (const auto& [key, vv] : map_) {
+    if (const std::optional<uint32_t> entry = seed_->Find(key)) {
+      shadowed[*entry] = true;
+    }
+  }
+  for (const std::string& key : tombstones_) shadowed[*seed_->Find(key)] = true;
+  return shadowed;
+}
+
 void StateDb::ForEach(const std::function<void(const std::string&,
                                                const VersionedValue&)>& fn)
     const {
   for (const auto& [key, vv] : map_) fn(key, vv);
-  if (genesis_ == nullptr) return;
-  genesis_->ForEach([&](const std::string& key, const VersionedValue& vv) {
-    if (map_.count(key) == 0 && tombstones_.count(key) == 0) fn(key, vv);
-  });
+  const std::vector<bool> shadowed = ShadowedSeedEntries();
+  for (uint32_t entry = 0; entry < shadowed.size(); ++entry) {
+    if (shadowed[entry]) continue;
+    fn(std::string(seed_->key(entry)),
+       VersionedValue{std::string(seed_->value(entry)), proto::kNilVersion});
+  }
 }
 
 std::string StateDb::Fingerprint() const {
-  // Hashes the merged view, so a layered database and a flat one holding
-  // the same entries produce the same digest.
-  std::vector<std::pair<const std::string*, const VersionedValue*>> entries;
-  entries.reserve(num_keys_);
-  ForEach([&](const std::string& key, const VersionedValue& vv) {
-    entries.emplace_back(&key, &vv);
-  });
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
-  Bytes canonical;
-  ByteWriter w(&canonical);
-  w.PutU64(last_committed_block_);
-  w.PutVarint(entries.size());
-  for (const auto& [key, vv] : entries) {
-    w.PutString(*key);
-    w.PutString(vv->value);
-    w.PutU64(vv->version.block_num);
-    w.PutU32(vv->version.tx_num);
+  // Hashes the merged view in key order, so a layered database and a flat
+  // one holding the same entries produce the same digest. The local
+  // entries and the live seeded ones hold disjoint keys: each list is
+  // sorted on its own and the two are merged.
+  using LocalEntry = std::pair<const std::string, VersionedValue>;
+  std::vector<const LocalEntry*> local;
+  local.reserve(map_.size());
+  for (const LocalEntry& entry : map_) local.push_back(&entry);
+  std::sort(local.begin(), local.end(),
+            [](const LocalEntry* a, const LocalEntry* b) {
+              return a->first < b->first;
+            });
+  std::vector<uint32_t> seeded;
+  const std::vector<bool> shadowed = ShadowedSeedEntries();
+  seeded.reserve(shadowed.size());
+  for (uint32_t entry = 0; entry < shadowed.size(); ++entry) {
+    if (!shadowed[entry]) seeded.push_back(entry);
   }
-  return crypto::DigestToHex(crypto::Sha256::Hash(canonical));
+  std::sort(seeded.begin(), seeded.end(), [this](uint32_t a, uint32_t b) {
+    return seed_->key(a) < seed_->key(b);
+  });
+
+  // The canonical encoding is streamed through the hash a chunk at a time.
+  constexpr size_t kChunkBytes = 64 * 1024;
+  crypto::Sha256 hash;
+  Bytes chunk;
+  ByteWriter w(&chunk);
+  w.PutU64(last_committed_block_);
+  w.PutVarint(local.size() + seeded.size());
+  const auto put = [&](std::string_view key, std::string_view value,
+                       proto::Version version) {
+    w.PutString(key);
+    w.PutString(value);
+    w.PutU64(version.block_num);
+    w.PutU32(version.tx_num);
+    if (chunk.size() >= kChunkBytes) {
+      hash.Update(chunk);
+      chunk.clear();
+    }
+  };
+  auto l = local.begin();
+  auto s = seeded.begin();
+  while (l != local.end() || s != seeded.end()) {
+    if (s == seeded.end() ||
+        (l != local.end() && std::string_view((*l)->first) < seed_->key(*s))) {
+      put((*l)->first, (*l)->second.value, (*l)->second.version);
+      ++l;
+    } else {
+      put(seed_->key(*s), seed_->value(*s), proto::kNilVersion);
+      ++s;
+    }
+  }
+  hash.Update(chunk);
+  return crypto::DigestToHex(hash.Finalize());
 }
 
 }  // namespace fabricpp::statedb

@@ -13,6 +13,7 @@
 #include "common/status.h"
 #include "proto/rwset.h"
 #include "proto/version.h"
+#include "statedb/seed_table.h"
 
 namespace fabricpp::statedb {
 
@@ -39,36 +40,43 @@ struct VersionedWrite {
 /// against these versions. A restarted peer rebuilds it by fetching the
 /// chain again (DESIGN.md §14).
 ///
-/// A StateDb may sit on an immutable *genesis* layer (DESIGN.md §17): the
-/// workload's initial state, seeded once per process and shared read-only by
-/// every in-process (peer, channel). Reads check the instance's own entries,
-/// then the genesis; every mutation lands in the instance, and a delete of a
-/// genesis key is kept as a local tombstone. NumKeys, ForEach and
-/// Fingerprint see the merged view, so a layered database is
-/// indistinguishable from a flat one holding the same entries.
+/// Seeded state (SeedInitialState) lives in a compact SeedTable, every
+/// entry at kNilVersion; every other write lives in the local layer, a hash
+/// map of the keys written since, plus tombstones for deleted seeded keys.
+/// An in-process peer shares one immutable *genesis* table (DESIGN.md §17):
+/// the workload's initial state, seeded once per process and read by every
+/// (peer, channel). NumKeys, ForEach and Fingerprint see the merged view, so
+/// a database layered over a genesis is indistinguishable from a flat one
+/// holding the same entries.
 ///
 /// Thread-safety: const methods may run concurrently; a mutation needs
 /// exclusive access (each channel's state lives on one lane, DESIGN.md
-/// §16). A shared genesis is only ever read. Concurrency *semantics*
+/// §16). A shared seed table is only ever read. Concurrency *semantics*
 /// (vanilla's coarse simulation/validation lock vs Fabric++'s lock-free
 /// version checks) are modeled in virtual time by node::PeerNode.
 class StateDb {
  public:
   StateDb() = default;
 
-  /// An empty layer over `genesis`, which must be fully seeded and is never
-  /// mutated through this instance.
+  /// A database holding `genesis`'s entries at height 0. It shares
+  /// genesis's seed table, which neither instance appends to again, and
+  /// copies its local layer (empty for a database that was only seeded).
   explicit StateDb(std::shared_ptr<const StateDb> genesis);
 
   /// Reads a key. NotFound if the key was never written (reads of missing
   /// keys are recorded with kNilVersion by the TxContext, matching Fabric).
   Result<VersionedValue> Get(const std::string& key) const;
 
-  /// Returns the version of `key`, or kNilVersion if absent.
+  /// Returns the version of `key`, or kNilVersion if absent. Reads only the
+  /// local layer: a key outside it is seeded, tombstoned or never written,
+  /// and all three are at kNilVersion.
   proto::Version GetVersion(const std::string& key) const;
 
   /// Direct write used for genesis/bootstrap state (version = kNilVersion's
   /// block, i.e. block 0). Workloads use this to install initial balances.
+  /// Appends to this database's own seed table while no other instance
+  /// shares it and no local entry or tombstone holds `key`; otherwise the
+  /// entry goes to the local layer, at kNilVersion all the same.
   void SeedInitialState(const std::string& key, std::string value);
 
   /// Applies the write set of one committed transaction with version
@@ -109,17 +117,20 @@ class StateDb {
                                         const VersionedValue&)>& fn) const;
 
  private:
-  /// The merged-view entry for `key`, or null if absent or deleted.
-  const VersionedValue* Find(const std::string& key) const;
-  bool InGenesis(const std::string& key) const {
-    return genesis_ != nullptr && genesis_->Find(key) != nullptr;
+  bool Seeded(const std::string& key) const {
+    return seed_ != nullptr && seed_->Contains(key);
   }
+  /// Per seed entry, whether a local entry or a tombstone hides it.
+  std::vector<bool> ShadowedSeedEntries() const;
   void Put(const std::string& key, VersionedValue vv);
   void Erase(const std::string& key);
 
   std::unordered_map<std::string, VersionedValue> map_;
-  std::shared_ptr<const StateDb> genesis_;
-  /// Genesis keys this instance deleted; disjoint from map_'s keys.
+  /// The seeded entries, shared by every database layered over the same
+  /// genesis. Appended to only while this instance is its sole owner, so a
+  /// shared table is never written.
+  std::shared_ptr<SeedTable> seed_;
+  /// Seeded keys this instance deleted; disjoint from map_'s keys.
   std::unordered_set<std::string> tombstones_;
   size_t num_keys_ = 0;  ///< Size of the merged view.
   uint64_t last_committed_block_ = 0;

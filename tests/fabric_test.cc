@@ -5,6 +5,8 @@
 
 #include "chaincode/builtin_chaincodes.h"
 #include "fabric/network.h"
+#include "node/local_mesh.h"
+#include "proto/wire_format.h"
 #include "peer/endorser.h"
 #include "workload/custom.h"
 #include "workload/smallbank.h"
@@ -37,6 +39,63 @@ SmallbankConfig SmallSmallbank() {
   wl.prob_write = 0.95;
   wl.zipf_s = 0.0;
   return wl;
+}
+
+/// Routes a test's own LocalMesh to a network's nodes.
+class NetworkDirectory : public node::NodeDirectory {
+ public:
+  explicit NetworkDirectory(FabricNetwork* net) : net_(net) {}
+  size_t num_peers() const override { return net_->num_peers(); }
+  node::PeerNode& peer(uint32_t index) override { return net_->peer(index); }
+  node::OrdererNode& orderer() override { return net_->orderer(); }
+  size_t num_clients() const override { return net_->num_clients(); }
+  node::ClientNode& client(uint32_t index) override {
+    return net_->client(index);
+  }
+  node::ClientNode* FindClient(const std::string&) override { return nullptr; }
+  std::vector<uint32_t> EndorsersFor(uint64_t) override { return {}; }
+  const std::string& default_policy_id() const override {
+    return net_->default_policy_id();
+  }
+  bool IsObserver(const node::PeerNode&) const override { return false; }
+
+ private:
+  FabricNetwork* net_;
+};
+
+TEST(LocalMeshTest, BroadcastCountsOneFramePerPeer) {
+  // The sim never runs the posted deliveries here: only the measurement
+  // is under test. Its figures feed wire.framed_bytes_per_tx and
+  // wire.messages_per_tx.
+  SmallbankWorkload wl(SmallSmallbank());
+  FabricNetwork net(QuickPlusPlus(), &wl);
+  NetworkDirectory directory(&net);
+  Metrics metrics;
+  node::LocalMesh mesh(&metrics, &directory, &net.runtime(),
+                       /*measure_wire_bytes=*/true);
+  auto block = std::make_shared<proto::Block>();
+  block->header.number = 1;
+  for (uint32_t i = 0; i < 3; ++i) {
+    proto::Transaction tx;
+    tx.tx_id = "tx" + std::to_string(i);
+    tx.client = "client_c0_0";
+    tx.chaincode = "smallbank";
+    tx.rwset.reads.push_back({"c_" + std::to_string(i), proto::kNilVersion});
+    tx.rwset.writes.push_back({"c_" + std::to_string(i), "100", false});
+    block->transactions.push_back(tx);
+  }
+  block->SealDataHash();
+  constexpr uint64_t kModeled = 1000;
+  mesh.BroadcastBlock(net.orderer().endpoint_for(0), 0, block, kModeled);
+
+  const TransportCounters counters = metrics.transport_counters();
+  const uint64_t frame =
+      proto::FramedSize(proto::BlockMsg{0, *block}.Encode().size());
+  EXPECT_EQ(net.num_peers(), 4u);
+  EXPECT_EQ(counters.messages, 4u);
+  EXPECT_EQ(counters.framed_bytes, 4 * frame);
+  EXPECT_EQ(counters.framed_bytes, 4u * 232);
+  EXPECT_EQ(counters.modeled_bytes, 4 * kModeled);
 }
 
 TEST(FabricConfigTest, ValidateAcceptsDefaultsAndRejectsBadRetryKnobs) {

@@ -21,10 +21,7 @@ proto::Transaction Tx(const std::string& client, uint64_t proposal_id,
   tx.client = client;
   tx.proposal_id = proposal_id;
   for (std::string& key : write_keys) {
-    proto::WriteItem w;
-    w.key = std::move(key);
-    w.value = "v";
-    tx.rwset.writes.push_back(std::move(w));
+    tx.rwset.writes.push_back({std::move(key), "v", false});
   }
   return tx;
 }

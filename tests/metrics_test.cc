@@ -8,6 +8,7 @@
 #include <limits>
 #include <string>
 
+#include "common/strings.h"
 #include "fabric/metrics.h"
 #include "fabric/network.h"
 #include "node/client_node.h"
@@ -108,7 +109,7 @@ TEST(MetricsTest, JainFairnessDefaultsToFairNotStarved) {
     Metrics metrics;
     metrics.SetWindow(0, ~0ULL);
     for (int c = 0; c < 3; ++c) {
-      const std::string key = ProposalKey("c" + std::to_string(c), 1);
+      const std::string key = ProposalKey(StrFormat("c%d", c), 1);
       metrics.NoteFired(key, 10);
       metrics.Resolve(key, TxOutcome::kAbortMvcc, 20);
     }

@@ -476,8 +476,7 @@ TEST(BatchCutterTest, UniqueKeysDisabledInVanilla) {
   BatchCutter cutter(config);
   for (int i = 0; i < 100; ++i) {
     EXPECT_FALSE(cutter
-                     .Add(TxWithKeys("r" + std::to_string(i),
-                                     "w" + std::to_string(i)))
+                     .Add(TxWithKeys(StrFormat("r%d", i), StrFormat("w%d", i)))
                      .has_value());
   }
 }
@@ -545,7 +544,7 @@ TEST(EarlyAbortTest, MultipleKeysAnyStaleKills) {
 TEST(EarlyAbortTest, DisjointKeysNoAborts) {
   std::vector<proto::ReadWriteSet> sets(4);
   for (int i = 0; i < 4; ++i) {
-    sets[i].reads = {{"k" + std::to_string(i),
+    sets[i].reads = {{StrFormat("k%d", i),
                       proto::Version{static_cast<uint64_t>(i), 0}}};
   }
   EXPECT_TRUE(FindVersionSkewAborts(AsPointers(sets)).empty());
@@ -684,8 +683,8 @@ std::vector<uint32_t> ScheduleAcyclicReference(
 std::vector<proto::ReadWriteSet> HotReaderBatch(uint32_t n) {
   std::vector<proto::ReadWriteSet> sets(n);
   for (uint32_t i = 1; i < n; ++i) {
-    sets[i].writes.push_back({"k" + std::to_string(i), "v", false});
-    sets[0].reads.push_back({"k" + std::to_string(i), proto::kNilVersion});
+    sets[i].writes.push_back({StrFormat("k%u", i), "v", false});
+    sets[0].reads.push_back({StrFormat("k%u", i), proto::kNilVersion});
   }
   return sets;
 }
@@ -695,10 +694,9 @@ std::vector<proto::ReadWriteSet> ChainBatch(uint32_t n) {
   std::vector<proto::ReadWriteSet> sets(n);
   for (uint32_t i = 0; i < n; ++i) {
     if (i > 0) {
-      sets[i].reads.push_back(
-          {"k" + std::to_string(i - 1), proto::kNilVersion});
+      sets[i].reads.push_back({StrFormat("k%u", i - 1), proto::kNilVersion});
     }
-    sets[i].writes.push_back({"k" + std::to_string(i), "v", false});
+    sets[i].writes.push_back({StrFormat("k%u", i), "v", false});
   }
   return sets;
 }
@@ -727,9 +725,11 @@ TEST(ScheduleAcyclicTest, MatchesQuadraticReferenceOnRandomDags) {
     for (uint32_t i = 0; i < n; ++i) {
       if (i > 0 && rng.NextUint64(3) != 0) {
         sets[i].writes.push_back(
-            {"k" + std::to_string(rng.NextUint64(i)), "v", false});
+            {StrFormat("k%llu",
+                       static_cast<unsigned long long>(rng.NextUint64(i))),
+             "v", false});
       }
-      sets[i].reads.push_back({"k" + std::to_string(i), proto::kNilVersion});
+      sets[i].reads.push_back({StrFormat("k%u", i), proto::kNilVersion});
     }
     const ConflictGraph graph = ConflictGraph::Build(AsPointers(sets));
     std::vector<uint32_t> alive;

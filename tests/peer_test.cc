@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "chaincode/chaincode.h"
+#include "common/strings.h"
 #include "ledger/ledger.h"
 #include "peer/endorser.h"
 #include "peer/policy.h"
@@ -75,7 +76,8 @@ class PeerFixture : public ::testing::Test {
     tx.rwset.reads = std::move(reads);
     for (std::string& key : write_keys) {
       tx.rwset.writes.push_back(
-          {std::move(key), "v" + std::to_string(id), false});
+          {std::move(key),
+           StrFormat("v%llu", static_cast<unsigned long long>(id)), false});
     }
     const Bytes payload = EndorsementPayload(tx.channel, tx.chaincode,
                                              tx.policy_id, tx.rwset);

@@ -165,7 +165,7 @@ TEST_F(RaftFixture, CommitOrderIdenticalEverywhere) {
   ASSERT_TRUE(AwaitLeader().has_value());
   int accepted = 0;
   for (int round = 0; round < 50; ++round) {
-    if (cluster_->Propose(Payload("e" + std::to_string(round)))) ++accepted;
+    if (cluster_->Propose(Payload(StrFormat("e%d", round)))) ++accepted;
     env_.RunUntil(env_.Now() + 100 * sim::kMillisecond);
     if (round == 25) {
       const auto leader = cluster_->FindLeader();

@@ -14,8 +14,11 @@
 #include "chaincode/chaincode.h"
 #include "chaincode/tx_context.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "ledger/ledger.h"
+#include "statedb/seed_table.h"
 #include "statedb/state_db.h"
+#include "workload/smallbank.h"
 
 namespace fabricpp {
 namespace {
@@ -129,7 +132,7 @@ void ExpectSameView(const StateDb& flat, const StateDb& layered,
 std::shared_ptr<const StateDb> SeededGenesis(uint32_t num_keys) {
   auto genesis = std::make_shared<StateDb>();
   for (uint32_t i = 0; i < num_keys; ++i) {
-    genesis->SeedInitialState("k" + std::to_string(i), "g" + std::to_string(i));
+    genesis->SeedInitialState(StrFormat("k%u", i), StrFormat("g%u", i));
   }
   return genesis;
 }
@@ -148,7 +151,7 @@ TEST(StateDbTest, GenesisLayerMatchesFlatDatabaseUnderRandomWrites) {
   });
   StateDb layered(genesis);
   std::vector<std::string> keys;
-  for (uint32_t i = 0; i < kKeys; ++i) keys.push_back("k" + std::to_string(i));
+  for (uint32_t i = 0; i < kKeys; ++i) keys.push_back(StrFormat("k%u", i));
   ExpectSameView(flat, layered, keys, "genesis");
 
   Rng rng(0x6e6e5);
@@ -156,7 +159,7 @@ TEST(StateDbTest, GenesisLayerMatchesFlatDatabaseUnderRandomWrites) {
     proto::WriteItem w;
     w.key = keys[rng.NextUint64(kKeys)];
     w.is_delete = rng.NextUint64(3) == 0;
-    if (!w.is_delete) w.value = "v" + std::to_string(n);
+    if (!w.is_delete) w.value = StrFormat("v%u", n);
     return w;
   };
   for (uint32_t step = 1; step <= 400; ++step) {
@@ -164,8 +167,8 @@ TEST(StateDbTest, GenesisLayerMatchesFlatDatabaseUnderRandomWrites) {
     switch (rng.NextUint64(3)) {
       case 0: {
         const std::string& key = keys[rng.NextUint64(kKeys)];
-        flat.SeedInitialState(key, "s" + std::to_string(step));
-        layered.SeedInitialState(key, "s" + std::to_string(step));
+        flat.SeedInitialState(key, StrFormat("s%u", step));
+        layered.SeedInitialState(key, StrFormat("s%u", step));
         break;
       }
       case 1: {
@@ -225,18 +228,18 @@ TEST(StateDbTest, SharedGenesisConcurrentLayers) {
   const auto genesis = SeededGenesis(kGenesisKeys);
   auto replay = [](uint32_t t, StateDb* db) {
     for (uint32_t i = 0; i < kGenesisKeys; ++i) {
-      const std::string key = "k" + std::to_string((i * 7 + t) % kGenesisKeys);
+      const std::string key = StrFormat("k%u", (i * 7 + t) % kGenesisKeys);
       const auto seen = db->Get(key);
       const std::string next =
           (seen.ok() ? seen->value : std::string("none")) + "+" +
           std::to_string(t);
       std::vector<statedb::VersionedWrite> block = {
           {{key, next, false}, Version{i + 1, 0}},
-          {{"t" + std::to_string(t) + "-" + std::to_string(i), "x", false},
+          {{StrFormat("t%u-%u", t, i), "x", false},
            Version{i + 1, 1}}};
       if (i % 5 == t) {
         block.push_back(
-            {{"k" + std::to_string(i), "", true}, Version{i + 1, 2}});
+            {{StrFormat("k%u", i), "", true}, Version{i + 1, 2}});
       }
       db->ApplyBlock(block, i + 1);
     }
@@ -249,7 +252,7 @@ TEST(StateDbTest, SharedGenesisConcurrentLayers) {
     threads.emplace_back([&, t] {
       replay(t, &layers[t]);
       for (uint32_t i = 0; i < kGenesisKeys; ++i) {
-        if (!genesis->Get("k" + std::to_string(i)).ok()) ++genesis_misses[t];
+        if (!genesis->Get(StrFormat("k%u", i)).ok()) ++genesis_misses[t];
       }
     });
   }
@@ -267,6 +270,139 @@ TEST(StateDbTest, SharedGenesisConcurrentLayers) {
     EXPECT_EQ(layers[t].Fingerprint(), flat.Fingerprint()) << "thread " << t;
   }
   EXPECT_EQ(genesis->NumKeys(), kGenesisKeys);
+}
+
+// --- The seed table under a StateDb ---
+
+TEST(SeedTableTest, PutFindAcrossRehashes) {
+  statedb::SeedTable table;
+  EXPECT_FALSE(table.Contains("absent"));
+  for (uint32_t i = 0; i < 1000; ++i) {
+    EXPECT_TRUE(table.Put(StrFormat("k%u", i), std::to_string(i * 3)));
+  }
+  EXPECT_EQ(table.size(), 1000u);
+  for (uint32_t i = 0; i < 1000; ++i) {
+    const auto entry = table.Find(StrFormat("k%u", i));
+    ASSERT_TRUE(entry.has_value()) << i;
+    EXPECT_EQ(table.key(*entry), StrFormat("k%u", i));
+    EXPECT_EQ(table.value(*entry), std::to_string(i * 3));
+  }
+  EXPECT_FALSE(table.Contains("k1000"));
+}
+
+TEST(StateDbTest, RepeatedSeedLastWinsAndCountsOnce) {
+  StateDb db;
+  db.SeedInitialState("a", "1");
+  db.SeedInitialState("b", "2");
+  db.SeedInitialState("a", "3");
+  EXPECT_EQ(db.Get("a")->value, "3");
+  EXPECT_EQ(db.GetVersion("a"), proto::kNilVersion);
+  EXPECT_EQ(db.NumKeys(), 2u);
+  EXPECT_EQ(Collect(db), (Entries{{"a", {"3", proto::kNilVersion}},
+                                  {"b", {"2", proto::kNilVersion}}}));
+
+  // Seeding a layer over a genesis lands in the layer and still wins.
+  const auto genesis = std::make_shared<const StateDb>(db);
+  StateDb layered(genesis);
+  layered.SeedInitialState("a", "4");
+  EXPECT_EQ(layered.Get("a")->value, "4");
+  EXPECT_EQ(layered.NumKeys(), 2u);
+  EXPECT_EQ(genesis->Get("a")->value, "3");
+}
+
+TEST(StateDbTest, SeedKeepsEmptyValuesEmbeddedNulsAndLargeValues) {
+  const std::string nul_key("a\0b", 3);
+  const std::string large(70 * 1024, 'x');
+  auto genesis = std::make_shared<StateDb>();
+  genesis->SeedInitialState("empty", "");
+  genesis->SeedInitialState(nul_key, "nul");
+  genesis->SeedInitialState("a", "prefix of the nul key");
+  genesis->SeedInitialState("large", large);
+  StateDb layered(genesis);
+  for (const StateDb* db : {static_cast<const StateDb*>(genesis.get()),
+                            static_cast<const StateDb*>(&layered)}) {
+    ASSERT_TRUE(db->Get("empty").ok());
+    EXPECT_EQ(db->Get("empty")->value, "");
+    EXPECT_EQ(db->Get(nul_key)->value, "nul");
+    EXPECT_EQ(db->Get("a")->value, "prefix of the nul key");
+    EXPECT_EQ(db->Get("large")->value, large);
+    EXPECT_EQ(db->NumKeys(), 4u);
+  }
+  const Entries seen = Collect(layered);
+  EXPECT_EQ(seen.at(nul_key).first, "nul");
+  EXPECT_EQ(seen.at("large").first, large);
+
+  StateDb flat;
+  flat.ApplyWrites({{"empty", "", false},
+                    {nul_key, "nul", false},
+                    {"a", "prefix of the nul key", false},
+                    {"large", large, false}},
+                   proto::kNilVersion);
+  EXPECT_EQ(layered.Fingerprint(), flat.Fingerprint());
+}
+
+TEST(StateDbTest, TombstonedSeededKeyRevives) {
+  auto genesis = std::make_shared<StateDb>();
+  genesis->SeedInitialState("k", "g");
+  for (const bool own_table : {true, false}) {
+    SCOPED_TRACE(own_table ? "own table" : "shared genesis");
+    StateDb db;
+    if (own_table) {
+      db.SeedInitialState("k", "g");
+    } else {
+      db = StateDb(genesis);
+    }
+    db.ApplyWrites({{"k", "", true}}, Version{1, 0});
+    EXPECT_FALSE(db.Get("k").ok());
+    EXPECT_EQ(db.NumKeys(), 0u);
+    EXPECT_TRUE(Collect(db).empty());
+    db.ApplyWrites({{"k", "", true}}, Version{2, 0});  // Twice is a no-op.
+    EXPECT_EQ(db.NumKeys(), 0u);
+
+    db.ApplyBlock({{{"k", "r", false}, Version{3, 1}}}, 3);
+    EXPECT_EQ(db.Get("k")->value, "r");
+    EXPECT_EQ(db.GetVersion("k"), (Version{3, 1}));
+    EXPECT_EQ(db.NumKeys(), 1u);
+
+    db.ApplyWrites({{"k", "", true}}, Version{4, 0});
+    db.SeedInitialState("k", "s");  // A re-seed revives it at kNilVersion.
+    EXPECT_EQ(db.Get("k")->value, "s");
+    EXPECT_EQ(db.GetVersion("k"), proto::kNilVersion);
+    EXPECT_EQ(db.NumKeys(), 1u);
+  }
+  EXPECT_EQ(genesis->Get("k")->value, "g");
+}
+
+TEST(StateDbTest, GetVersionReadsOnlyTheLocalLayer) {
+  auto genesis = std::make_shared<StateDb>();
+  genesis->SeedInitialState("seeded", "g");
+  genesis->SeedInitialState("deleted", "g");
+  StateDb db(genesis);
+  db.ApplyWrites({{"written", "w", false}, {"deleted", "", true}},
+                 Version{7, 2});
+  EXPECT_EQ(db.GetVersion("written"), (Version{7, 2}));
+  EXPECT_EQ(db.GetVersion("seeded"), proto::kNilVersion);
+  EXPECT_EQ(db.GetVersion("deleted"), proto::kNilVersion);
+  EXPECT_EQ(db.GetVersion("never"), proto::kNilVersion);
+  EXPECT_TRUE(db.Get("seeded").ok());
+  EXPECT_FALSE(db.Get("deleted").ok());
+}
+
+TEST(StateDbTest, SmallbankGenesisFingerprintIsPinned) {
+  // The paper's 100k-user Smallbank genesis (200k keys). The hex is the
+  // digest the hash-map representation computed for the same entries, so
+  // it pins that the seed table left the canonical encoding unchanged.
+  const workload::SmallbankWorkload workload{workload::SmallbankConfig{}};
+  const auto genesis = workload.SeedGenesis();
+  StateDb flat;
+  workload.SeedState(&flat);
+  const StateDb layered(genesis);
+  EXPECT_EQ(flat.NumKeys(), 200000u);
+  EXPECT_EQ(layered.NumKeys(), 200000u);
+  const std::string kPinned =
+      "874abc1a0c212489be6f61b3a8444a02c51de6a237c063331e78e2a9212bc59f";
+  EXPECT_EQ(flat.Fingerprint(), kPinned);
+  EXPECT_EQ(layered.Fingerprint(), kPinned);
 }
 
 // --- Ledger ---

@@ -268,7 +268,7 @@ TEST_F(StorageFixture, ApplyBatchIsOneAppendAndSurvivesReopen) {
     ASSERT_TRUE(db.ok());
     WriteBatch batch;
     for (int i = 0; i < 100; ++i) {
-      batch.Put(StrFormat("key%03d", i), "v" + std::to_string(i));
+      batch.Put(StrFormat("key%03d", i), StrFormat("v%d", i));
     }
     batch.Delete("key050");
     ASSERT_TRUE((*db)->ApplyBatch(batch).ok());

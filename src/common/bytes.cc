@@ -3,19 +3,27 @@
 namespace fabricpp {
 
 void ByteWriter::PutU32(uint32_t v) {
+  if (out_ == nullptr) {
+    counted_ += 4;
+    return;
+  }
   for (int i = 0; i < 4; ++i) out_->push_back(static_cast<uint8_t>(v >> (8 * i)));
 }
 
 void ByteWriter::PutU64(uint64_t v) {
+  if (out_ == nullptr) {
+    counted_ += 8;
+    return;
+  }
   for (int i = 0; i < 8; ++i) out_->push_back(static_cast<uint8_t>(v >> (8 * i)));
 }
 
 void ByteWriter::PutVarint(uint64_t v) {
   while (v >= 0x80) {
-    out_->push_back(static_cast<uint8_t>(v) | 0x80);
+    PutU8(static_cast<uint8_t>(v) | 0x80);
     v >>= 7;
   }
-  out_->push_back(static_cast<uint8_t>(v));
+  PutU8(static_cast<uint8_t>(v));
 }
 
 void ByteWriter::PutString(std::string_view s) {
@@ -29,6 +37,10 @@ void ByteWriter::PutBytes(const Bytes& b) {
 }
 
 void ByteWriter::PutRaw(const void* data, size_t size) {
+  if (out_ == nullptr) {
+    counted_ += size;
+    return;
+  }
   const uint8_t* p = static_cast<const uint8_t*>(data);
   out_->insert(out_->end(), p, p + size);
 }

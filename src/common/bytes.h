@@ -24,8 +24,19 @@ using Bytes = std::vector<uint8_t>;
 class ByteWriter {
  public:
   explicit ByteWriter(Bytes* out) : out_(out) {}
+  /// Size-only mode: stores nothing and counts the bytes the same calls
+  /// would append (counted()). An encoder runs unchanged in either mode, so
+  /// a size counted this way cannot drift from the encoding, and counting
+  /// allocates nothing.
+  ByteWriter() = default;
 
-  void PutU8(uint8_t v) { out_->push_back(v); }
+  void PutU8(uint8_t v) {
+    if (out_ == nullptr) {
+      ++counted_;
+    } else {
+      out_->push_back(v);
+    }
+  }
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
   /// Unsigned LEB128.
@@ -34,10 +45,39 @@ class ByteWriter {
   void PutString(std::string_view s);
   void PutBytes(const Bytes& b);
   void PutRaw(const void* data, size_t size);
+  /// Varint length prefix followed by what `encode(ByteWriter*)` writes: a
+  /// nested encoding, written in place after a size-only pass over it.
+  template <typename Encode>
+  void PutNested(const Encode& encode) {
+    ByteWriter counter;
+    encode(&counter);
+    PutVarint(counter.counted());
+    encode(this);
+  }
+
+  /// Bytes counted in size-only mode; 0 for a writer that appends.
+  size_t counted() const { return counted_; }
 
  private:
-  Bytes* out_;
+  Bytes* out_ = nullptr;
+  size_t counted_ = 0;
 };
+
+/// The number of bytes `encode(ByteWriter*)` writes, counted in size-only
+/// mode: no buffer, no copy of what is encoded.
+template <typename Encode>
+size_t CountBytes(const Encode& encode) {
+  ByteWriter counter;
+  encode(&counter);
+  return counter.counted();
+}
+
+/// The size of `value.EncodeTo(w)`'s output, counted without encoding:
+/// equal to the encoding's size, with no allocation.
+template <typename T>
+size_t EncodedSize(const T& value) {
+  return CountBytes([&value](ByteWriter* w) { value.EncodeTo(w); });
+}
 
 /// Reads back what ByteWriter wrote. All getters return an error Status on
 /// truncated input instead of crashing — ledger blocks may come from disk.

@@ -13,8 +13,9 @@ namespace {
 
 /// The encoded size of a proto::BlockMsg carrying `block`.
 size_t BlockPayloadSize(uint32_t channel, const proto::Block& block) {
-  const proto::BlockMsg msg{channel, block};
-  return msg.Encode().size();
+  return CountBytes([&](ByteWriter* w) {
+    proto::BlockMsg::EncodeTo(w, channel, block);
+  });
 }
 
 }  // namespace
@@ -40,8 +41,10 @@ void LocalMesh::SendProposal(runtime::Endpoint& from, uint32_t peer_index,
         peer->HandleProposal(channel, std::move(proposal), index);
       });
   if (measure_wire_bytes_) {
-    const proto::ProposalMsg msg{channel, client_index, proposal};
-    Measure(msg.Encode().size(), size_bytes);
+    Measure(CountBytes([&](ByteWriter* w) {
+              proto::ProposalMsg::EncodeTo(w, channel, client_index, proposal);
+            }),
+            size_bytes);
   }
 }
 
@@ -49,8 +52,10 @@ void LocalMesh::SendTransaction(runtime::Endpoint& from, uint32_t channel,
                                 proto::Transaction tx, uint64_t size_bytes) {
   OrdererNode* orderer = &directory_->orderer();
   if (measure_wire_bytes_) {
-    const proto::TransactionMsg msg{channel, tx};
-    Measure(msg.Encode().size(), size_bytes);
+    Measure(CountBytes([&](ByteWriter* w) {
+              proto::TransactionMsg::EncodeTo(w, channel, tx);
+            }),
+            size_bytes);
   }
   transport().Send(from, orderer->endpoint_for(channel), size_bytes,
                    [orderer, channel, tx = std::move(tx)]() mutable {
@@ -63,9 +68,10 @@ void LocalMesh::SendEndorsementReply(
     Result<peer::EndorsementResponse> response, uint64_t size_bytes) {
   ClientNode* client = &directory_->client(client_index);
   if (measure_wire_bytes_) {
-    const proto::EndorsementReplyMsg msg =
-        EndorsementReplyToWire(client_index, proposal_id, response);
-    Measure(msg.Encode().size(), size_bytes);
+    Measure(CountBytes([&](ByteWriter* w) {
+              EncodeEndorsementReply(w, client_index, proposal_id, response);
+            }),
+            size_bytes);
   }
   transport().Send(
       from, client->home(), size_bytes,
@@ -82,7 +88,7 @@ void LocalMesh::SendBusy(runtime::Endpoint& from, uint32_t client_index,
   if (measure_wire_bytes_) {
     const proto::BusyMsg msg{client_index, busy.proposal_id,
                              busy.retry_after_us};
-    Measure(msg.Encode().size(), kMessageOverhead);
+    Measure(EncodedSize(msg), kMessageOverhead);
   }
 }
 
@@ -95,7 +101,7 @@ void LocalMesh::SendBusyByName(runtime::Endpoint& from,
                    [client, busy]() { client->HandleBusy(busy); });
   if (measure_wire_bytes_) {
     const proto::BusyMsg msg{0, busy.proposal_id, busy.retry_after_us};
-    Measure(msg.Encode().size(), kMessageOverhead);
+    Measure(EncodedSize(msg), kMessageOverhead);
   }
 }
 
@@ -114,11 +120,10 @@ void LocalMesh::SendOutcome(runtime::Endpoint& from, const std::string& client,
                      target->HandleOutcome(proposal_id, success);
                    });
   if (measure_wire_bytes_) {
-    proto::OutcomeMsg msg;
-    msg.client = client;
-    msg.proposal_id = proposal_id;
-    msg.code = code;
-    Measure(msg.Encode().size(), kMessageOverhead);
+    Measure(CountBytes([&](ByteWriter* w) {
+              proto::OutcomeMsg::EncodeTo(w, client, proposal_id, code);
+            }),
+            kMessageOverhead);
   }
 }
 
@@ -151,7 +156,7 @@ void LocalMesh::BroadcastBlock(runtime::Endpoint& from, uint32_t channel,
     DeliverBlock(from, p, channel, block, block_bytes);
   }
   if (!measure_wire_bytes_) return;
-  // Every peer's frame carries the same payload, so one encode, after all
+  // Every peer's frame carries the same payload, so one count, after all
   // deliveries are posted, measures them all.
   const size_t payload_size = BlockPayloadSize(channel, *block);
   for (uint32_t p = 0; p < num_peers; ++p) Measure(payload_size, block_bytes);
@@ -166,7 +171,7 @@ void LocalMesh::SendChainInfo(runtime::Endpoint& from, uint32_t peer_index,
                    });
   if (measure_wire_bytes_) {
     const proto::ChainInfoMsg msg{channel, height};
-    Measure(msg.Encode().size(), kMessageOverhead);
+    Measure(EncodedSize(msg), kMessageOverhead);
   }
 }
 
@@ -180,7 +185,7 @@ void LocalMesh::SendBlockRequest(runtime::Endpoint& from, uint32_t channel,
                    });
   if (measure_wire_bytes_) {
     const proto::BlockRequestMsg msg{channel, peer_index, from_number};
-    Measure(msg.Encode().size(), kMessageOverhead);
+    Measure(EncodedSize(msg), kMessageOverhead);
   }
 }
 

@@ -17,12 +17,14 @@ namespace fabricpp::node {
 /// seam existed, which is what keeps sim fingerprints and thread-mode
 /// behavior pinned across the refactor.
 ///
-/// When `measure_wire_bytes` is on (thread runtime), every send is also
-/// encoded through the real wire format and its framed size recorded in
-/// Metrics::transport_counters() — the measured counterpart to the modeled
-/// kMessageOverhead sizes the cost model charges. Sim runs must leave it
-/// off: the measurement itself is invisible to the report, but skipping the
-/// encode keeps the deterministic path free of dead work.
+/// When `measure_wire_bytes` is on (thread runtime), every send's payload
+/// is also counted through the real wire format's encoder (ByteWriter's
+/// size-only mode, from the fields the send already holds: no copy, no
+/// buffer) and its framed size recorded in Metrics::transport_counters() —
+/// the measured counterpart to the modeled kMessageOverhead sizes the cost
+/// model charges. Sim runs must leave it off: the measurement itself is
+/// invisible to the report, but skipping the count keeps the deterministic
+/// path free of dead work.
 class LocalMesh : public Mesh {
  public:
   LocalMesh(fabric::Metrics* metrics, NodeDirectory* directory,

@@ -48,6 +48,24 @@ inline proto::EndorsementReplyMsg EndorsementReplyToWire(
   return msg;
 }
 
+/// The payload EndorsementReplyToWire's message encodes to, written from
+/// `response` in place: the in-process mesh counts a reply's bytes through
+/// it without copying the reply.
+inline void EncodeEndorsementReply(
+    ByteWriter* w, uint32_t client_index, uint64_t proposal_id,
+    const Result<peer::EndorsementResponse>& response) {
+  if (response.ok()) {
+    proto::EndorsementReplyMsg::EncodeOkTo(w, client_index, proposal_id,
+                                           response->rwset,
+                                           response->endorsement);
+  } else {
+    proto::EndorsementReplyMsg::EncodeErrorTo(
+        w, client_index, proposal_id,
+        static_cast<uint8_t>(response.status().code()),
+        response.status().message());
+  }
+}
+
 /// Inverse of EndorsementReplyToWire.
 inline Result<peer::EndorsementResponse> EndorsementReplyFromWire(
     proto::EndorsementReplyMsg msg) {

@@ -33,14 +33,18 @@ bool Block::VerifyDataHash() const {
   return crypto::MerkleRoot(leaves) == header.data_hash;
 }
 
+void Block::EncodeTo(ByteWriter* w) const {
+  w->PutU64(header.number);
+  w->PutRaw(header.previous_hash.data(), header.previous_hash.size());
+  w->PutRaw(header.data_hash.data(), header.data_hash.size());
+  w->PutVarint(transactions.size());
+  for (const Transaction& tx : transactions) tx.EncodeTo(w);
+}
+
 Bytes Block::Encode() const {
   Bytes out;
   ByteWriter w(&out);
-  w.PutU64(header.number);
-  w.PutRaw(header.previous_hash.data(), header.previous_hash.size());
-  w.PutRaw(header.data_hash.data(), header.data_hash.size());
-  w.PutVarint(transactions.size());
-  for (const Transaction& tx : transactions) tx.EncodeTo(&w);
+  EncodeTo(&w);
   return out;
 }
 
@@ -71,6 +75,6 @@ Result<Block> Block::Decode(ByteReader* r) {
   return block;
 }
 
-uint64_t Block::ByteSize() const { return Encode().size(); }
+uint64_t Block::ByteSize() const { return EncodedSize(*this); }
 
 }  // namespace fabricpp::proto

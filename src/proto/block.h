@@ -38,6 +38,7 @@ struct Block {
   /// True iff header.data_hash matches the transactions.
   bool VerifyDataHash() const;
 
+  void EncodeTo(ByteWriter* w) const;
   Bytes Encode() const;
   /// Decodes a whole encoded block. `r` must hold exactly one block:
   /// callers length-frame block bytes, so anything left over after the

@@ -75,7 +75,7 @@ Result<ReadWriteSet> ReadWriteSet::Decode(ByteReader* r) {
   return set;
 }
 
-uint64_t ReadWriteSet::ByteSize() const { return Encode().size(); }
+uint64_t ReadWriteSet::ByteSize() const { return EncodedSize(*this); }
 
 bool ReadWriteSet::ReadsKey(const std::string& key) const {
   return std::any_of(reads.begin(), reads.end(),

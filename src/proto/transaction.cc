@@ -17,16 +17,20 @@ Status CheckCount(uint64_t count, const ByteReader& r, const char* what) {
 
 }  // namespace
 
+void Proposal::EncodeTo(ByteWriter* w) const {
+  w->PutVarint(proposal_id);
+  w->PutString(client);
+  w->PutString(channel);
+  w->PutString(chaincode);
+  w->PutVarint(args.size());
+  for (const std::string& a : args) w->PutString(a);
+  w->PutU64(nonce);
+}
+
 Bytes Proposal::Encode() const {
   Bytes out;
   ByteWriter w(&out);
-  w.PutVarint(proposal_id);
-  w.PutString(client);
-  w.PutString(channel);
-  w.PutString(chaincode);
-  w.PutVarint(args.size());
-  for (const std::string& a : args) w.PutString(a);
-  w.PutU64(nonce);
+  EncodeTo(&w);
   return out;
 }
 
@@ -149,7 +153,7 @@ Result<Transaction> Transaction::Decode(ByteReader* r) {
   return tx;
 }
 
-uint64_t Transaction::ByteSize() const { return Encode().size(); }
+uint64_t Transaction::ByteSize() const { return EncodedSize(*this); }
 
 crypto::Digest Transaction::ContentDigest() const {
   return crypto::Sha256::Hash(Encode());

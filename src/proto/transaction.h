@@ -26,9 +26,10 @@ struct Proposal {
   uint64_t nonce = 0;  ///< Random per-proposal value; salts the tx id.
 
   /// Canonical encoding (hashed into the transaction id).
+  void EncodeTo(ByteWriter* w) const;
   Bytes Encode() const;
   static Result<Proposal> Decode(ByteReader* r);
-  uint64_t ByteSize() const { return Encode().size(); }
+  uint64_t ByteSize() const { return EncodedSize(*this); }
 };
 
 /// One endorsement: the simulating peer's signature over the proposal's

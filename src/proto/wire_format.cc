@@ -33,6 +33,15 @@ Result<crypto::Digest> DecodeDigest(ByteReader* r) {
   return d;
 }
 
+/// A message's payload as bytes: what its EncodeTo writes.
+template <typename Msg>
+Bytes EncodeMessage(const Msg& msg) {
+  Bytes out;
+  ByteWriter w(&out);
+  msg.EncodeTo(&w);
+  return out;
+}
+
 Status ExpectAtEnd(const ByteReader& r, const char* what) {
   if (!r.AtEnd()) {
     return Status::DataLoss(std::string("trailing garbage after ") + what +
@@ -153,14 +162,13 @@ Result<bool> FrameDecoder::Next(Frame* out) {
   return true;
 }
 
-Bytes HelloMsg::Encode() const {
-  Bytes out;
-  ByteWriter w(&out);
-  w.PutU8(static_cast<uint8_t>(role));
-  w.PutU32(index);
-  w.PutString(name);
-  return out;
+void HelloMsg::EncodeTo(ByteWriter* w) const {
+  w->PutU8(static_cast<uint8_t>(role));
+  w->PutU32(index);
+  w->PutString(name);
 }
+
+Bytes HelloMsg::Encode() const { return EncodeMessage(*this); }
 
 Result<HelloMsg> HelloMsg::Decode(ByteReader* r) {
   HelloMsg msg;
@@ -175,14 +183,18 @@ Result<HelloMsg> HelloMsg::Decode(ByteReader* r) {
   return msg;
 }
 
-Bytes ProposalMsg::Encode() const {
-  Bytes out;
-  ByteWriter w(&out);
-  w.PutU32(channel);
-  w.PutU32(client_index);
-  w.PutBytes(proposal.Encode());
-  return out;
+void ProposalMsg::EncodeTo(ByteWriter* w) const {
+  EncodeTo(w, channel, client_index, proposal);
 }
+
+void ProposalMsg::EncodeTo(ByteWriter* w, uint32_t channel,
+                           uint32_t client_index, const Proposal& proposal) {
+  w->PutU32(channel);
+  w->PutU32(client_index);
+  w->PutNested([&proposal](ByteWriter* body) { proposal.EncodeTo(body); });
+}
+
+Bytes ProposalMsg::Encode() const { return EncodeMessage(*this); }
 
 Result<ProposalMsg> ProposalMsg::Decode(ByteReader* r) {
   ProposalMsg msg;
@@ -196,25 +208,41 @@ Result<ProposalMsg> ProposalMsg::Decode(ByteReader* r) {
   return msg;
 }
 
-Bytes EndorsementReplyMsg::Encode() const {
-  Bytes out;
-  ByteWriter w(&out);
-  w.PutU32(client_index);
-  w.PutVarint(proposal_id);
-  w.PutU8(ok ? 1 : 0);
+void EndorsementReplyMsg::EncodeTo(ByteWriter* w) const {
   if (ok) {
-    rwset.EncodeTo(&w);
-    w.PutString(endorsement.peer);
-    w.PutString(endorsement.org);
-    w.PutString(endorsement.signature.signer);
-    w.PutRaw(endorsement.signature.tag.data(),
-             endorsement.signature.tag.size());
+    EncodeOkTo(w, client_index, proposal_id, rwset, endorsement);
   } else {
-    w.PutU8(status_code);
-    w.PutString(status_message);
+    EncodeErrorTo(w, client_index, proposal_id, status_code, status_message);
   }
-  return out;
 }
+
+void EndorsementReplyMsg::EncodeOkTo(ByteWriter* w, uint32_t client_index,
+                                     uint64_t proposal_id,
+                                     const ReadWriteSet& rwset,
+                                     const Endorsement& endorsement) {
+  w->PutU32(client_index);
+  w->PutVarint(proposal_id);
+  w->PutU8(1);
+  rwset.EncodeTo(w);
+  w->PutString(endorsement.peer);
+  w->PutString(endorsement.org);
+  w->PutString(endorsement.signature.signer);
+  w->PutRaw(endorsement.signature.tag.data(),
+            endorsement.signature.tag.size());
+}
+
+void EndorsementReplyMsg::EncodeErrorTo(ByteWriter* w, uint32_t client_index,
+                                        uint64_t proposal_id,
+                                        uint8_t status_code,
+                                        std::string_view status_message) {
+  w->PutU32(client_index);
+  w->PutVarint(proposal_id);
+  w->PutU8(0);
+  w->PutU8(status_code);
+  w->PutString(status_message);
+}
+
+Bytes EndorsementReplyMsg::Encode() const { return EncodeMessage(*this); }
 
 Result<EndorsementReplyMsg> EndorsementReplyMsg::Decode(ByteReader* r) {
   EndorsementReplyMsg msg;
@@ -240,14 +268,13 @@ Result<EndorsementReplyMsg> EndorsementReplyMsg::Decode(ByteReader* r) {
   return msg;
 }
 
-Bytes BusyMsg::Encode() const {
-  Bytes out;
-  ByteWriter w(&out);
-  w.PutU32(client_index);
-  w.PutVarint(proposal_id);
-  w.PutVarint(retry_after_us);
-  return out;
+void BusyMsg::EncodeTo(ByteWriter* w) const {
+  w->PutU32(client_index);
+  w->PutVarint(proposal_id);
+  w->PutVarint(retry_after_us);
 }
+
+Bytes BusyMsg::Encode() const { return EncodeMessage(*this); }
 
 Result<BusyMsg> BusyMsg::Decode(ByteReader* r) {
   BusyMsg msg;
@@ -258,13 +285,17 @@ Result<BusyMsg> BusyMsg::Decode(ByteReader* r) {
   return msg;
 }
 
-Bytes TransactionMsg::Encode() const {
-  Bytes out;
-  ByteWriter w(&out);
-  w.PutU32(channel);
-  tx.EncodeTo(&w);
-  return out;
+void TransactionMsg::EncodeTo(ByteWriter* w) const {
+  EncodeTo(w, channel, tx);
 }
+
+void TransactionMsg::EncodeTo(ByteWriter* w, uint32_t channel,
+                              const Transaction& tx) {
+  w->PutU32(channel);
+  tx.EncodeTo(w);
+}
+
+Bytes TransactionMsg::Encode() const { return EncodeMessage(*this); }
 
 Result<TransactionMsg> TransactionMsg::Decode(ByteReader* r) {
   TransactionMsg msg;
@@ -274,13 +305,14 @@ Result<TransactionMsg> TransactionMsg::Decode(ByteReader* r) {
   return msg;
 }
 
-Bytes BlockMsg::Encode() const {
-  Bytes out;
-  ByteWriter w(&out);
-  w.PutU32(channel);
-  w.PutBytes(block.Encode());
-  return out;
+void BlockMsg::EncodeTo(ByteWriter* w) const { EncodeTo(w, channel, block); }
+
+void BlockMsg::EncodeTo(ByteWriter* w, uint32_t channel, const Block& block) {
+  w->PutU32(channel);
+  w->PutNested([&block](ByteWriter* body) { block.EncodeTo(body); });
 }
+
+Bytes BlockMsg::Encode() const { return EncodeMessage(*this); }
 
 Result<BlockMsg> BlockMsg::Decode(ByteReader* r) {
   BlockMsg msg;
@@ -292,13 +324,12 @@ Result<BlockMsg> BlockMsg::Decode(ByteReader* r) {
   return msg;
 }
 
-Bytes ChainInfoMsg::Encode() const {
-  Bytes out;
-  ByteWriter w(&out);
-  w.PutU32(channel);
-  w.PutVarint(height);
-  return out;
+void ChainInfoMsg::EncodeTo(ByteWriter* w) const {
+  w->PutU32(channel);
+  w->PutVarint(height);
 }
+
+Bytes ChainInfoMsg::Encode() const { return EncodeMessage(*this); }
 
 Result<ChainInfoMsg> ChainInfoMsg::Decode(ByteReader* r) {
   ChainInfoMsg msg;
@@ -308,14 +339,13 @@ Result<ChainInfoMsg> ChainInfoMsg::Decode(ByteReader* r) {
   return msg;
 }
 
-Bytes BlockRequestMsg::Encode() const {
-  Bytes out;
-  ByteWriter w(&out);
-  w.PutU32(channel);
-  w.PutU32(peer_index);
-  w.PutVarint(from_number);
-  return out;
+void BlockRequestMsg::EncodeTo(ByteWriter* w) const {
+  w->PutU32(channel);
+  w->PutU32(peer_index);
+  w->PutVarint(from_number);
 }
+
+Bytes BlockRequestMsg::Encode() const { return EncodeMessage(*this); }
 
 Result<BlockRequestMsg> BlockRequestMsg::Decode(ByteReader* r) {
   BlockRequestMsg msg;
@@ -326,14 +356,18 @@ Result<BlockRequestMsg> BlockRequestMsg::Decode(ByteReader* r) {
   return msg;
 }
 
-Bytes OutcomeMsg::Encode() const {
-  Bytes out;
-  ByteWriter w(&out);
-  w.PutString(client);
-  w.PutVarint(proposal_id);
-  w.PutU8(static_cast<uint8_t>(code));
-  return out;
+void OutcomeMsg::EncodeTo(ByteWriter* w) const {
+  EncodeTo(w, client, proposal_id, code);
 }
+
+void OutcomeMsg::EncodeTo(ByteWriter* w, std::string_view client,
+                          uint64_t proposal_id, TxValidationCode code) {
+  w->PutString(client);
+  w->PutVarint(proposal_id);
+  w->PutU8(static_cast<uint8_t>(code));
+}
+
+Bytes OutcomeMsg::Encode() const { return EncodeMessage(*this); }
 
 Result<OutcomeMsg> OutcomeMsg::Decode(ByteReader* r) {
   OutcomeMsg msg;
@@ -348,12 +382,11 @@ Result<OutcomeMsg> OutcomeMsg::Decode(ByteReader* r) {
   return msg;
 }
 
-Bytes StateRequestMsg::Encode() const {
-  Bytes out;
-  ByteWriter w(&out);
-  w.PutVarint(token);
-  return out;
+void StateRequestMsg::EncodeTo(ByteWriter* w) const {
+  w->PutVarint(token);
 }
+
+Bytes StateRequestMsg::Encode() const { return EncodeMessage(*this); }
 
 Result<StateRequestMsg> StateRequestMsg::Decode(ByteReader* r) {
   StateRequestMsg msg;
@@ -362,20 +395,19 @@ Result<StateRequestMsg> StateRequestMsg::Decode(ByteReader* r) {
   return msg;
 }
 
-Bytes StateReportMsg::Encode() const {
-  Bytes out;
-  ByteWriter w(&out);
-  w.PutU32(peer_index);
-  w.PutVarint(token);
-  w.PutVarint(channels.size());
+void StateReportMsg::EncodeTo(ByteWriter* w) const {
+  w->PutU32(peer_index);
+  w->PutVarint(token);
+  w->PutVarint(channels.size());
   for (const ChannelStateInfo& c : channels) {
-    w.PutVarint(c.height);
-    w.PutRaw(c.tip_hash.data(), c.tip_hash.size());
-    w.PutString(c.state_fingerprint);
-    w.PutVarint(c.num_keys);
+    w->PutVarint(c.height);
+    w->PutRaw(c.tip_hash.data(), c.tip_hash.size());
+    w->PutString(c.state_fingerprint);
+    w->PutVarint(c.num_keys);
   }
-  return out;
 }
+
+Bytes StateReportMsg::Encode() const { return EncodeMessage(*this); }
 
 Result<StateReportMsg> StateReportMsg::Decode(ByteReader* r) {
   StateReportMsg msg;
@@ -396,7 +428,9 @@ Result<StateReportMsg> StateReportMsg::Decode(ByteReader* r) {
   return msg;
 }
 
-Bytes ShutdownMsg::Encode() const { return Bytes(); }
+void ShutdownMsg::EncodeTo(ByteWriter* /*w*/) const {}
+
+Bytes ShutdownMsg::Encode() const { return EncodeMessage(*this); }
 
 Result<ShutdownMsg> ShutdownMsg::Decode(ByteReader* r) {
   FABRICPP_RETURN_IF_ERROR(ExpectAtEnd(*r, "SHUTDOWN"));

@@ -112,7 +112,12 @@ class FrameDecoder {
 /// ---- Message payloads -----------------------------------------------------
 ///
 /// Each struct encodes to / decodes from the payload section of its frame.
-/// Decoders treat input as untrusted: any truncation, trailing garbage, or
+/// EncodeTo writes the payload through a ByteWriter; in the writer's
+/// size-only mode it counts it instead (EncodedSize in common/bytes.h). The
+/// messages that carry a proposal, transaction, block, endorsement or
+/// client name also encode from borrowed fields, so a sender that holds
+/// those apart counts a frame it never builds (node::LocalMesh). Decoders
+/// treat input as untrusted: any truncation, trailing garbage, or
 /// implausible count returns an error Status, never aborts.
 
 struct HelloMsg {
@@ -120,6 +125,7 @@ struct HelloMsg {
   uint32_t index = 0;  ///< Peer index; 0 for orderer / client host.
   std::string name;    ///< Diagnostic label ("A1", "orderer", "load").
 
+  void EncodeTo(ByteWriter* w) const;
   Bytes Encode() const;
   static Result<HelloMsg> Decode(ByteReader* r);
 };
@@ -129,6 +135,9 @@ struct ProposalMsg {
   uint32_t client_index = 0;  ///< Global client index (directory order).
   Proposal proposal;
 
+  void EncodeTo(ByteWriter* w) const;
+  static void EncodeTo(ByteWriter* w, uint32_t channel, uint32_t client_index,
+                       const Proposal& proposal);
   Bytes Encode() const;
   static Result<ProposalMsg> Decode(ByteReader* r);
 };
@@ -145,6 +154,14 @@ struct EndorsementReplyMsg {
   uint8_t status_code = 0;   ///< StatusCode, valid iff !ok.
   std::string status_message;
 
+  void EncodeTo(ByteWriter* w) const;
+  /// The `ok` arm, then the error arm, from borrowed fields.
+  static void EncodeOkTo(ByteWriter* w, uint32_t client_index,
+                         uint64_t proposal_id, const ReadWriteSet& rwset,
+                         const Endorsement& endorsement);
+  static void EncodeErrorTo(ByteWriter* w, uint32_t client_index,
+                            uint64_t proposal_id, uint8_t status_code,
+                            std::string_view status_message);
   Bytes Encode() const;
   static Result<EndorsementReplyMsg> Decode(ByteReader* r);
 };
@@ -154,6 +171,7 @@ struct BusyMsg {
   uint64_t proposal_id = 0;
   uint64_t retry_after_us = 0;
 
+  void EncodeTo(ByteWriter* w) const;
   Bytes Encode() const;
   static Result<BusyMsg> Decode(ByteReader* r);
 };
@@ -162,6 +180,8 @@ struct TransactionMsg {
   uint32_t channel = 0;
   Transaction tx;
 
+  void EncodeTo(ByteWriter* w) const;
+  static void EncodeTo(ByteWriter* w, uint32_t channel, const Transaction& tx);
   Bytes Encode() const;
   static Result<TransactionMsg> Decode(ByteReader* r);
 };
@@ -170,6 +190,8 @@ struct BlockMsg {
   uint32_t channel = 0;
   Block block;
 
+  void EncodeTo(ByteWriter* w) const;
+  static void EncodeTo(ByteWriter* w, uint32_t channel, const Block& block);
   Bytes Encode() const;
   static Result<BlockMsg> Decode(ByteReader* r);
 };
@@ -178,6 +200,7 @@ struct ChainInfoMsg {
   uint32_t channel = 0;
   uint64_t height = 0;  ///< Highest block number the orderer dispatched.
 
+  void EncodeTo(ByteWriter* w) const;
   Bytes Encode() const;
   static Result<ChainInfoMsg> Decode(ByteReader* r);
 };
@@ -187,6 +210,7 @@ struct BlockRequestMsg {
   uint32_t peer_index = 0;
   uint64_t from_number = 0;
 
+  void EncodeTo(ByteWriter* w) const;
   Bytes Encode() const;
   static Result<BlockRequestMsg> Decode(ByteReader* r);
 };
@@ -199,6 +223,9 @@ struct OutcomeMsg {
   uint64_t proposal_id = 0;
   TxValidationCode code = TxValidationCode::kNotValidated;
 
+  void EncodeTo(ByteWriter* w) const;
+  static void EncodeTo(ByteWriter* w, std::string_view client,
+                       uint64_t proposal_id, TxValidationCode code);
   Bytes Encode() const;
   static Result<OutcomeMsg> Decode(ByteReader* r);
 };
@@ -206,6 +233,7 @@ struct OutcomeMsg {
 struct StateRequestMsg {
   uint64_t token = 0;  ///< Echoed in the report; pairs requests and replies.
 
+  void EncodeTo(ByteWriter* w) const;
   Bytes Encode() const;
   static Result<StateRequestMsg> Decode(ByteReader* r);
 };
@@ -228,11 +256,13 @@ struct StateReportMsg {
   uint64_t token = 0;
   std::vector<ChannelStateInfo> channels;
 
+  void EncodeTo(ByteWriter* w) const;
   Bytes Encode() const;
   static Result<StateReportMsg> Decode(ByteReader* r);
 };
 
 struct ShutdownMsg {
+  void EncodeTo(ByteWriter* w) const;
   Bytes Encode() const;
   static Result<ShutdownMsg> Decode(ByteReader* r);
 };

@@ -42,15 +42,27 @@ bool SeedTable::Put(std::string_view key, std::string_view value) {
     e.value_size = static_cast<uint32_t>(value.size());
     return false;
   }
-  // At most half full, so a probe run stays short.
   if (2 * (entries_.size() + 1) > index_.size()) {
-    Rehash(index_.empty() ? 16 : 2 * index_.size());
+    Rehash(IndexCapacityFor(entries_.size() + 1));
   }
   const uint64_t offset = Append(key, value);
   entries_.push_back({offset, static_cast<uint32_t>(key.size()),
                       static_cast<uint32_t>(value.size())});
   index_[SlotOf(key)] = static_cast<uint32_t>(entries_.size() - 1);
   return true;
+}
+
+void SeedTable::Reserve(size_t entries, size_t arena_bytes) {
+  arena_.reserve(arena_bytes);
+  entries_.reserve(entries);
+  if (2 * entries > index_.size()) Rehash(IndexCapacityFor(entries));
+}
+
+size_t SeedTable::IndexCapacityFor(size_t entries) const {
+  // At most half full, so a probe run stays short.
+  size_t capacity = index_.empty() ? 16 : index_.size();
+  while (2 * entries > capacity) capacity *= 2;
+  return capacity;
 }
 
 void SeedTable::Rehash(size_t capacity) {

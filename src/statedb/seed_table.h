@@ -26,11 +26,26 @@ class SeedTable {
   /// Returns true if the key is new.
   bool Put(std::string_view key, std::string_view value);
 
+  /// Sizes the table once for `entries` entries in all whose keys and
+  /// values take `arena_bytes` bytes in all, so Puts within that neither
+  /// reallocate nor rehash: seeding then peaks at the live table instead of
+  /// holding an old and a new buffer at once. A Put past the reservation
+  /// grows the table as without one, so a low hint costs only time; arena
+  /// pages reserved but never written are never resident.
+  void Reserve(size_t entries, size_t arena_bytes);
+
   /// The entry number of `key`, or nullopt if it was never seeded.
   std::optional<uint32_t> Find(std::string_view key) const;
   bool Contains(std::string_view key) const { return Find(key).has_value(); }
 
   size_t size() const { return entries_.size(); }
+  /// Bytes of keys and values appended so far, a repeated key's too.
+  size_t arena_bytes() const { return arena_.size(); }
+  /// Room allocated so far; none of the three moves while Puts fit a
+  /// Reserve.
+  size_t entry_capacity() const { return entries_.capacity(); }
+  size_t arena_capacity() const { return arena_.capacity(); }
+  size_t index_slots() const { return index_.size(); }
   std::string_view key(uint32_t entry) const {
     const Entry& e = entries_[entry];
     return {arena_.data() + e.offset, e.key_size};
@@ -53,6 +68,9 @@ class SeedTable {
   size_t SlotOf(std::string_view key) const;
   /// Appends `key` then `value` to the arena; returns the key's offset.
   uint64_t Append(std::string_view key, std::string_view value);
+  /// The index size for `entries` entries: the current size (16 for an
+  /// empty table), doubled until the index is at most half full.
+  size_t IndexCapacityFor(size_t entries) const;
   void Rehash(size_t capacity);
 
   std::vector<char> arena_;

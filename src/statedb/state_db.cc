@@ -59,6 +59,11 @@ void StateDb::SeedInitialState(const std::string& key, std::string value) {
   Put(key, VersionedValue{std::move(value), proto::kNilVersion});
 }
 
+void StateDb::ReserveSeeds(size_t entries, size_t arena_bytes) {
+  if (seed_ == nullptr) seed_ = std::make_shared<SeedTable>();
+  if (seed_.use_count() == 1) seed_->Reserve(entries, arena_bytes);
+}
+
 void StateDb::ApplyWrites(const std::vector<proto::WriteItem>& writes,
                           proto::Version version) {
   for (const proto::WriteItem& w : writes) {

@@ -79,6 +79,13 @@ class StateDb {
   /// entry goes to the local layer, at kNilVersion all the same.
   void SeedInitialState(const std::string& key, std::string value);
 
+  /// Sizes this database's seed table for `entries` seeded entries taking
+  /// `arena_bytes` bytes of keys and values in all (SeedTable::Reserve), so
+  /// seeding allocates once. Only while no other instance shares the table:
+  /// on a shared one it does nothing, since seeds then go to the local
+  /// layer. A workload calls it at the top of its SeedState.
+  void ReserveSeeds(size_t entries, size_t arena_bytes);
+
   /// Applies the write set of one committed transaction with version
   /// {block_num, tx_num}. Called by the committer for each *valid*
   /// transaction, in block order.
@@ -104,6 +111,9 @@ class StateDb {
   void set_last_committed_block(uint64_t b) { last_committed_block_ = b; }
 
   size_t NumKeys() const { return num_keys_; }
+
+  /// The seeded entries, or null before the first seed (inspection helper).
+  const SeedTable* seed_table() const { return seed_.get(); }
 
   /// Canonical digest of the full state: every (key, value, version) entry
   /// hashed in sorted key order, returned as a SHA-256 hex string. Two

@@ -6,6 +6,12 @@
 #include "chaincode/builtin_chaincodes.h"
 
 namespace fabricpp::workload {
+namespace {
+
+/// Seeded balances are drawn from [0, kBalanceRange).
+constexpr uint64_t kBalanceRange = 100000;
+
+}  // namespace
 
 CustomWorkload::CustomWorkload(CustomConfig config)
     : config_(config),
@@ -13,12 +19,22 @@ CustomWorkload::CustomWorkload(CustomConfig config)
           1, static_cast<uint64_t>(static_cast<double>(config.num_accounts) *
                                    config.hot_set_fraction))) {}
 
+SeedSize CustomWorkload::SeedBound() const {
+  const uint64_t n = config_.num_accounts;
+  const uint64_t prefix =
+      chaincode::CustomChaincode::AccountKey(0).size() - 1;  // "acc_"
+  const uint64_t value = std::to_string(kBalanceRange - 1).size();
+  return {n, n * (prefix + value) + DecimalDigitsBelow(n)};
+}
+
 void CustomWorkload::SeedState(statedb::StateDb* db) const {
+  const SeedSize bound = SeedBound();
+  db->ReserveSeeds(bound.entries, bound.arena_bytes);
   Rng rng(0xc057a10adULL ^ config_.num_accounts);
   for (uint64_t acc = 0; acc < config_.num_accounts; ++acc) {
     db->SeedInitialState(
         chaincode::CustomChaincode::AccountKey(acc),
-        std::to_string(static_cast<int64_t>(rng.NextUint64(100000))));
+        std::to_string(static_cast<int64_t>(rng.NextUint64(kBalanceRange))));
   }
 }
 

@@ -32,6 +32,10 @@ class CustomWorkload : public Workload {
   void SeedState(statedb::StateDb* db) const override;
   std::vector<std::string> NextArgs(Rng& rng) const override;
 
+  /// An upper bound on what SeedState appends: one key per account, each
+  /// balance at most as long as the largest one.
+  SeedSize SeedBound() const;
+
   const CustomConfig& config() const { return config_; }
   uint64_t hot_set_size() const { return hot_set_size_; }
 

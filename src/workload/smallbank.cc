@@ -7,7 +7,19 @@ namespace fabricpp::workload {
 SmallbankWorkload::SmallbankWorkload(SmallbankConfig config)
     : config_(config), zipf_(config.num_users, config.zipf_s) {}
 
+SeedSize SmallbankWorkload::SeedBound() const {
+  const uint64_t n = config_.num_users;
+  // "c_" and "s_", each followed by the user number.
+  const uint64_t prefix =
+      chaincode::SmallbankChaincode::CheckingKey(0).size() - 1;
+  const uint64_t value = std::max(std::to_string(config_.min_balance).size(),
+                                  std::to_string(config_.max_balance).size());
+  return {2 * n, 2 * (n * (prefix + value) + DecimalDigitsBelow(n))};
+}
+
 void SmallbankWorkload::SeedState(statedb::StateDb* db) const {
+  const SeedSize bound = SeedBound();
+  db->ReserveSeeds(bound.entries, bound.arena_bytes);
   // Fixed seed: all peers install byte-identical initial state.
   Rng rng(0x5ba11ba2c0ffeeULL ^ config_.num_users);
   const int64_t span = config_.max_balance - config_.min_balance + 1;

@@ -42,6 +42,10 @@ class SmallbankWorkload : public Workload {
   std::vector<std::string> NextArgsFor(uint32_t channel,
                                        Rng& rng) const override;
 
+  /// An upper bound on what SeedState appends: two keys per user, each
+  /// value as long as the longer of the balance range's ends.
+  SeedSize SeedBound() const;
+
   const SmallbankConfig& config() const { return config_; }
 
  private:

@@ -1,6 +1,8 @@
 #ifndef FABRICPP_WORKLOAD_WORKLOAD_H_
 #define FABRICPP_WORKLOAD_WORKLOAD_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -9,6 +11,28 @@
 #include "statedb/state_db.h"
 
 namespace fabricpp::workload {
+
+/// An upper bound on what a workload's SeedState appends to a fresh
+/// database's seed table. Each seeding workload reserves it at the top of
+/// its own SeedState (statedb::StateDb::ReserveSeeds), so the genesis is
+/// built at its final size (DESIGN.md §17).
+struct SeedSize {
+  uint64_t entries = 0;
+  uint64_t arena_bytes = 0;  ///< Keys and values together.
+};
+
+/// The decimal digits of 0, 1, ..., n - 1 together: what the numbers in
+/// the keys of n records numbered from 0 take.
+inline uint64_t DecimalDigitsBelow(uint64_t n) {
+  uint64_t total = 0;
+  uint64_t low = 0;  // The first number with `digits` digits (0 has one).
+  for (uint64_t digits = 1, high = 10; low < n; ++digits) {
+    total += digits * (std::min(n, high) - low);
+    low = high;
+    high = high > UINT64_MAX / 10 ? UINT64_MAX : high * 10;
+  }
+  return total;
+}
 
 /// A proposal generator: which chaincode to call and with which arguments.
 ///
@@ -24,7 +48,10 @@ class Workload {
 
   /// Installs the initial application state (account balances etc.) into a
   /// peer's state database. Must be deterministic: every peer seeds the
-  /// identical state.
+  /// identical state. A workload that seeds many entries reserves its
+  /// SeedSize here rather than through another virtual method: a wrapper
+  /// that forwards only SeedState (the end-to-end benchmark's observer,
+  /// examples/smallbank_demo.cpp) then still seeds a reserved table.
   virtual void SeedState(statedb::StateDb* db) const = 0;
 
   /// SeedState into a fresh database, frozen for sharing: the genesis layer

@@ -27,7 +27,15 @@ std::string YcsbWorkload::RecordKey(uint64_t record) {
   return StrFormat("user%llu", static_cast<unsigned long long>(record));
 }
 
+SeedSize YcsbWorkload::SeedBound() const {
+  const uint64_t n = config_.num_records;
+  const uint64_t prefix = RecordKey(0).size() - 1;  // "user"
+  return {n, n * (prefix + config_.value_size) + DecimalDigitsBelow(n)};
+}
+
 void YcsbWorkload::SeedState(statedb::StateDb* db) const {
+  const SeedSize bound = SeedBound();
+  db->ReserveSeeds(bound.entries, bound.arena_bytes);
   for (uint64_t r = 0; r < config_.num_records; ++r) {
     db->SeedInitialState(RecordKey(r), value_template_);
   }

@@ -38,6 +38,9 @@ class YcsbWorkload : public Workload {
   void SeedState(statedb::StateDb* db) const override;
   std::vector<std::string> NextArgs(Rng& rng) const override;
 
+  /// Exactly what SeedState appends: every record's key and value.
+  SeedSize SeedBound() const;
+
   const YcsbConfig& config() const { return config_; }
   static std::string RecordKey(uint64_t record);
 

@@ -19,6 +19,7 @@
 #include "statedb/seed_table.h"
 #include "statedb/state_db.h"
 #include "workload/smallbank.h"
+#include "workload/ycsb.h"
 
 namespace fabricpp {
 namespace {
@@ -290,6 +291,88 @@ TEST(SeedTableTest, PutFindAcrossRehashes) {
   EXPECT_FALSE(table.Contains("k1000"));
 }
 
+TEST(SeedTableTest, PutsWithinReserveNeitherReallocateNorRehash) {
+  statedb::SeedTable table;
+  table.Reserve(1000, 8000);
+  const size_t entries = table.entry_capacity();
+  const size_t arena = table.arena_capacity();
+  const size_t slots = table.index_slots();
+  EXPECT_GE(entries, 1000u);
+  EXPECT_GE(arena, 8000u);
+  EXPECT_EQ(slots, 2048u);  // The least power of two at most half full.
+  for (uint32_t i = 0; i < 1000; ++i) {
+    table.Put(StrFormat("k%03u", i), StrFormat("v%03u", i));
+  }
+  EXPECT_EQ(table.size(), 1000u);
+  EXPECT_EQ(table.arena_bytes(), 8000u);
+  EXPECT_EQ(table.entry_capacity(), entries);
+  EXPECT_EQ(table.arena_capacity(), arena);
+  EXPECT_EQ(table.index_slots(), slots);
+}
+
+TEST(SeedTableTest, ReservedTableMatchesUnreserved) {
+  // Reserve for 100 entries, then put 300 (one key twice): the puts past
+  // the reservation grow the table as an unreserved one grows.
+  statedb::SeedTable reserved;
+  statedb::SeedTable grown;
+  reserved.Reserve(100, 600);
+  StateDb reserved_db;
+  StateDb grown_db;
+  reserved_db.ReserveSeeds(100, 600);
+  const auto put = [&](const std::string& key, const std::string& value) {
+    EXPECT_EQ(reserved.Put(key, value), grown.Put(key, value)) << key;
+    reserved_db.SeedInitialState(key, value);
+    grown_db.SeedInitialState(key, value);
+  };
+  put("repeated", "first");
+  for (uint32_t i = 0; i < 300; ++i) {
+    put(StrFormat("k%u", i), std::to_string(i * 7));
+  }
+  put("repeated", "last");
+  EXPECT_GT(reserved.entry_capacity(), 100u);
+  ASSERT_EQ(reserved.size(), grown.size());
+  EXPECT_EQ(reserved.size(), 301u);
+  EXPECT_EQ(reserved.arena_bytes(), grown.arena_bytes());
+  EXPECT_EQ(reserved.index_slots(), grown.index_slots());
+  for (uint32_t entry = 0; entry < reserved.size(); ++entry) {
+    EXPECT_EQ(reserved.key(entry), grown.key(entry));
+    EXPECT_EQ(reserved.value(entry), grown.value(entry));
+    EXPECT_EQ(reserved.Find(reserved.key(entry)), entry);
+    EXPECT_EQ(grown.Find(grown.key(entry)), entry);
+  }
+  EXPECT_EQ(reserved.value(*reserved.Find("repeated")), "last");
+  EXPECT_FALSE(reserved.Contains("k300"));
+  EXPECT_EQ(reserved_db.NumKeys(), grown_db.NumKeys());
+  EXPECT_EQ(reserved_db.Fingerprint(), grown_db.Fingerprint());
+  EXPECT_EQ(reserved_db.seed_table()->size(), 301u);
+}
+
+TEST(StateDbTest, ReserveSeedsOnASharedTableIsANoOp) {
+  auto genesis = std::make_shared<StateDb>();
+  genesis->SeedInitialState("a", "1");
+  const statedb::SeedTable* table = genesis->seed_table();
+  const size_t entries = table->entry_capacity();
+  const size_t arena = table->arena_capacity();
+  const size_t slots = table->index_slots();
+
+  StateDb layered(genesis);
+  EXPECT_EQ(layered.seed_table(), table);
+  layered.ReserveSeeds(100000, 1 << 20);
+  genesis->ReserveSeeds(100000, 1 << 20);
+  EXPECT_EQ(table->entry_capacity(), entries);
+  EXPECT_EQ(table->arena_capacity(), arena);
+  EXPECT_EQ(table->index_slots(), slots);
+  EXPECT_EQ(layered.seed_table(), table);
+
+  // Sole owner again: the reservation reaches the table.
+  StateDb fresh;
+  EXPECT_EQ(fresh.seed_table(), nullptr);
+  fresh.ReserveSeeds(100000, 1 << 20);
+  ASSERT_NE(fresh.seed_table(), nullptr);
+  EXPECT_GE(fresh.seed_table()->entry_capacity(), 100000u);
+  EXPECT_EQ(fresh.NumKeys(), 0u);
+}
+
 TEST(StateDbTest, RepeatedSeedLastWinsAndCountsOnce) {
   StateDb db;
   db.SeedInitialState("a", "1");
@@ -402,6 +485,24 @@ TEST(StateDbTest, SmallbankGenesisFingerprintIsPinned) {
   const std::string kPinned =
       "874abc1a0c212489be6f61b3a8444a02c51de6a237c063331e78e2a9212bc59f";
   EXPECT_EQ(flat.Fingerprint(), kPinned);
+  EXPECT_EQ(layered.Fingerprint(), kPinned);
+}
+
+TEST(StateDbTest, YcsbGenesisFingerprintIsPinned) {
+  // The end-to-end benchmark's YCSB-B genesis: 100k records of 100-byte
+  // values. The hex is the digest of the table grown without a
+  // reservation, so it pins that reserving left the state unchanged.
+  workload::YcsbConfig config;
+  config.mix = workload::YcsbMix::kB;
+  config.num_records = 100000;
+  config.value_size = 100;
+  const workload::YcsbWorkload workload(config);
+  const auto genesis = workload.SeedGenesis();
+  const StateDb layered(genesis);
+  EXPECT_EQ(layered.NumKeys(), 100000u);
+  const std::string kPinned =
+      "6bdc9f4da42478cf728d66a6bbbe909431b6c2b4daea688dcb40f88c3ce81e12";
+  EXPECT_EQ(genesis->Fingerprint(), kPinned);
   EXPECT_EQ(layered.Fingerprint(), kPinned);
 }
 

@@ -514,5 +514,123 @@ TEST(WireFormatTest, MalformedBytesSweep) {
   }
 }
 
+// --- Counted sizes: the in-process mesh's byte measurement ---
+
+/// Asserts that `encode` counted in ByteWriter's size-only mode gives
+/// `expected`'s size, and that writing it gives the same bytes.
+template <typename Encode>
+void ExpectCountedAndWritten(const Encode& encode, const Bytes& expected,
+                             const std::string& what) {
+  EXPECT_EQ(CountBytes(encode), expected.size()) << what;
+  Bytes written;
+  ByteWriter w(&written);
+  encode(&w);
+  EXPECT_EQ(written, expected) << what;
+}
+
+template <typename Msg>
+void ExpectEncodedSize(const Msg& msg, const std::string& what) {
+  EXPECT_EQ(EncodedSize(msg), msg.Encode().size()) << what;
+}
+
+TEST(WireFormatTest, CountedSizeEqualsEncodedSizeForEveryType) {
+  const std::string big(20000, 'b');  // A three-byte varint length.
+  Proposal big_proposal = MakeProposal();
+  big_proposal.proposal_id = UINT64_MAX;  // A ten-byte varint.
+  big_proposal.client = big;
+  big_proposal.args.assign(300, big.substr(0, 200));
+  ReadWriteSet big_rwset = MakeRwset();
+  for (int i = 0; i < 200; ++i) {
+    big_rwset.reads.push_back({big.substr(0, 130), Version{UINT64_MAX, 7}});
+    big_rwset.writes.push_back({big.substr(0, 140), big.substr(0, 150),
+                                i % 2 == 0});
+  }
+  big_rwset.writes.push_back({"large value", big, false});
+  Transaction big_tx = MakeTransaction();
+  big_tx.rwset = big_rwset;
+  big_tx.policy_id = big;
+  big_tx.endorsements.assign(5, big_tx.endorsements.front());
+  Block big_block = MakeBlock();
+  big_block.transactions.assign(5, big_tx);
+  big_block.SealDataHash();
+
+  for (const Proposal& p : {Proposal{}, MakeProposal(), big_proposal}) {
+    EXPECT_EQ(p.ByteSize(), p.Encode().size());
+    for (const uint32_t channel : {0u, UINT32_MAX}) {
+      const ProposalMsg msg{channel, 7, p};
+      ExpectEncodedSize(msg, "PROPOSAL");
+      ExpectCountedAndWritten(
+          [&](ByteWriter* w) { ProposalMsg::EncodeTo(w, channel, 7, p); },
+          msg.Encode(), "PROPOSAL from borrowed fields");
+    }
+  }
+  for (const ReadWriteSet& rw : {ReadWriteSet{}, big_rwset}) {
+    EXPECT_EQ(rw.ByteSize(), rw.Encode().size());
+  }
+  for (const Transaction& tx : {Transaction{}, MakeTransaction(), big_tx}) {
+    EXPECT_EQ(tx.ByteSize(), tx.Encode().size());
+    const TransactionMsg msg{3, tx};
+    ExpectEncodedSize(msg, "TRANSACTION");
+    ExpectCountedAndWritten(
+        [&](ByteWriter* w) { TransactionMsg::EncodeTo(w, 3, tx); },
+        msg.Encode(), "TRANSACTION from borrowed fields");
+  }
+  for (const Block& block : {Block{}, MakeBlock(), big_block}) {
+    EXPECT_EQ(block.ByteSize(), block.Encode().size());
+    const BlockMsg msg{2, block};
+    ExpectEncodedSize(msg, "BLOCK");
+    ExpectCountedAndWritten(
+        [&](ByteWriter* w) { BlockMsg::EncodeTo(w, 2, block); },
+        msg.Encode(), "BLOCK from borrowed fields");
+  }
+
+  // Both arms of an endorsement reply, counted from the response the
+  // in-process mesh holds and compared with the message the socket mesh
+  // builds from it.
+  peer::EndorsementResponse ok;
+  ok.rwset = big_rwset;
+  ok.endorsement.peer = big;
+  ok.endorsement.signature.tag.fill(0x77);
+  const std::vector<Result<peer::EndorsementResponse>> replies = {
+      peer::EndorsementResponse{}, ok, Status::FailedPrecondition(""),
+      Status::FailedPrecondition(big)};
+  for (const Result<peer::EndorsementResponse>& response : replies) {
+    const EndorsementReplyMsg msg =
+        node::EndorsementReplyToWire(9, UINT64_MAX, response);
+    ExpectEncodedSize(msg, "ENDORSEMENT_REPLY");
+    ExpectCountedAndWritten(
+        [&](ByteWriter* w) {
+          node::EncodeEndorsementReply(w, 9, UINT64_MAX, response);
+        },
+        msg.Encode(), "ENDORSEMENT_REPLY from the response");
+  }
+
+  for (const std::string& name : {std::string(), big}) {
+    ExpectEncodedSize(HelloMsg{NodeRole::kPeer, 3, name}, "HELLO");
+    const OutcomeMsg outcome{name, UINT64_MAX, TxValidationCode::kMvccConflict};
+    ExpectEncodedSize(outcome, "OUTCOME");
+    ExpectCountedAndWritten(
+        [&](ByteWriter* w) {
+          OutcomeMsg::EncodeTo(w, name, UINT64_MAX,
+                               TxValidationCode::kMvccConflict);
+        },
+        outcome.Encode(), "OUTCOME from borrowed fields");
+  }
+  for (const uint64_t n : {uint64_t{0}, uint64_t{127}, uint64_t{128},
+                           UINT64_MAX}) {
+    ExpectEncodedSize(BusyMsg{1, n, n}, "BUSY");
+    ExpectEncodedSize(ChainInfoMsg{1, n}, "CHAIN_INFO");
+    ExpectEncodedSize(BlockRequestMsg{1, 2, n}, "BLOCK_REQUEST");
+    ExpectEncodedSize(StateRequestMsg{n}, "STATE_REQUEST");
+  }
+  StateReportMsg report;
+  ExpectEncodedSize(report, "STATE_REPORT");
+  report.token = UINT64_MAX;
+  report.channels.assign(300, ChannelStateInfo{UINT64_MAX, {}, big, 1u << 20});
+  ExpectEncodedSize(report, "STATE_REPORT");
+  ExpectEncodedSize(ShutdownMsg{}, "SHUTDOWN");
+  EXPECT_EQ(EncodedSize(ShutdownMsg{}), 0u);
+}
+
 }  // namespace
 }  // namespace fabricpp::proto

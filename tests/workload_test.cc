@@ -347,5 +347,124 @@ TEST(YcsbTest, ArgsAreInvokable) {
   }
 }
 
+// --- Seed reservations (DESIGN.md §17) ---
+
+/// Seeds `workload` into a fresh database and checks its SeedBound against
+/// what the seed table holds: every entry and byte fits the bound, and the
+/// table still has the room a reservation of exactly that bound allocates,
+/// so seeding neither reallocated nor rehashed.
+template <typename W>
+const statedb::SeedTable* ExpectBoundCovers(const W& workload,
+                                            statedb::StateDb* db) {
+  workload.SeedState(db);
+  const SeedSize bound = workload.SeedBound();
+  const statedb::SeedTable* table = db->seed_table();
+  EXPECT_NE(table, nullptr);
+  if (table == nullptr) return nullptr;
+  EXPECT_LE(table->size(), bound.entries);
+  EXPECT_LE(table->arena_bytes(), bound.arena_bytes);
+  statedb::SeedTable reserved;
+  reserved.Reserve(bound.entries, bound.arena_bytes);
+  EXPECT_EQ(table->entry_capacity(), reserved.entry_capacity());
+  EXPECT_EQ(table->arena_capacity(), reserved.arena_capacity());
+  EXPECT_EQ(table->index_slots(), reserved.index_slots());
+  return table;
+}
+
+/// Forwards only SeedState, chaincode and NextArgs to the workload it wraps,
+/// as the end-to-end benchmark's observer and examples/smallbank_demo.cpp do.
+class ForwardingWorkload : public Workload {
+ public:
+  explicit ForwardingWorkload(const Workload* inner) : inner_(inner) {}
+  std::string chaincode() const override { return inner_->chaincode(); }
+  void SeedState(statedb::StateDb* db) const override {
+    inner_->SeedState(db);
+  }
+  std::vector<std::string> NextArgs(Rng& rng) const override {
+    return inner_->NextArgs(rng);
+  }
+
+ private:
+  const Workload* inner_;
+};
+
+TEST(SeedBoundTest, DecimalDigitsBelowSumsEveryNumber) {
+  uint64_t brute = 0;
+  for (uint64_t n = 0; n <= 12000; ++n) {
+    EXPECT_EQ(DecimalDigitsBelow(n), brute) << n;
+    brute += std::to_string(n).size();
+  }
+  EXPECT_EQ(DecimalDigitsBelow(100000), 488890u);
+  EXPECT_EQ(DecimalDigitsBelow(1000000000000), 11888888888890u);
+}
+
+TEST(SeedBoundTest, YcsbBoundIsExact) {
+  for (const uint64_t records : {1u, 10u, 11u, 999u, 1000u, 12345u}) {
+    for (const uint32_t value_size : {0u, 100u}) {
+      YcsbConfig config;
+      config.num_records = records;
+      config.value_size = value_size;
+      const YcsbWorkload workload(config);
+      statedb::StateDb db;
+      const statedb::SeedTable* table = ExpectBoundCovers(workload, &db);
+      ASSERT_NE(table, nullptr);
+      EXPECT_EQ(table->size(), workload.SeedBound().entries) << records;
+      EXPECT_EQ(table->arena_bytes(), workload.SeedBound().arena_bytes)
+          << records;
+    }
+  }
+}
+
+TEST(SeedBoundTest, SmallbankBoundCoversItsSeeds) {
+  SmallbankConfig config;
+  config.num_users = 12345;
+  statedb::StateDb db;
+  const statedb::SeedTable* table =
+      ExpectBoundCovers(SmallbankWorkload(config), &db);
+  ASSERT_NE(table, nullptr);
+  EXPECT_EQ(table->size(), 2 * config.num_users);
+
+  // Negative balances take a sign; the bound counts it.
+  config.num_users = 500;
+  config.min_balance = -99999;
+  config.max_balance = 5;
+  statedb::StateDb signed_db;
+  ExpectBoundCovers(SmallbankWorkload(config), &signed_db);
+}
+
+TEST(SeedBoundTest, CustomBoundCoversItsSeeds) {
+  CustomConfig config;
+  config.num_accounts = 12345;
+  statedb::StateDb db;
+  const statedb::SeedTable* table =
+      ExpectBoundCovers(CustomWorkload(config), &db);
+  ASSERT_NE(table, nullptr);
+  EXPECT_EQ(table->size(), config.num_accounts);
+}
+
+TEST(SeedBoundTest, ForwardingWrapperStillSeedsAReservedGenesis) {
+  SmallbankConfig smallbank;
+  smallbank.num_users = 3000;
+  YcsbConfig ycsb;
+  ycsb.num_records = 3000;
+  const SmallbankWorkload inner_smallbank(smallbank);
+  const YcsbWorkload inner_ycsb(ycsb);
+  const std::vector<std::pair<const Workload*, SeedSize>> cases = {
+      {&inner_smallbank, inner_smallbank.SeedBound()},
+      {&inner_ycsb, inner_ycsb.SeedBound()}};
+  for (const auto& [inner, bound] : cases) {
+    const ForwardingWorkload wrapper(inner);
+    const auto genesis = wrapper.SeedGenesis();
+    const statedb::SeedTable* table = genesis->seed_table();
+    ASSERT_NE(table, nullptr);
+    statedb::SeedTable reserved;
+    reserved.Reserve(bound.entries, bound.arena_bytes);
+    EXPECT_EQ(table->entry_capacity(), reserved.entry_capacity());
+    EXPECT_EQ(table->arena_capacity(), reserved.arena_capacity());
+    EXPECT_EQ(table->index_slots(), reserved.index_slots());
+    EXPECT_EQ(genesis->Fingerprint(), inner->SeedGenesis()->Fingerprint());
+  }
+}
+
 }  // namespace
 }  // namespace fabricpp::workload

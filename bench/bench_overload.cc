@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "fabric/network.h"
 #include "harness.h"
 #include "workload/smallbank.h"
 

@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "fabric/network.h"
 #include "harness.h"
 #include "workload/smallbank.h"
 

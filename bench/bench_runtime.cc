@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "fabric/network.h"
 #include "fabric/socket_host.h"
 #include "harness.h"
 #include "workload/smallbank.h"

@@ -1,57 +1,17 @@
 #include "harness.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 namespace fabricpp::bench {
 
-double MeasureSeconds() {
-  if (const char* env = std::getenv("FABRICPP_BENCH_SECONDS")) {
-    const double v = std::atof(env);
-    if (v > 0) return v;
-  }
-  if (const char* env = std::getenv("FABRICPP_BENCH_FULL")) {
-    if (std::string(env) == "1") return 90.0;  // Paper-length runs.
-  }
-  return 12.0;
-}
-
-double WarmupSeconds() {
-  const double w = MeasureSeconds() * 0.2;
-  return w > 5.0 ? 5.0 : w;
-}
-
-fabric::RunReport RunExperiment(const fabric::FabricConfig& config,
-                                const workload::Workload& workload) {
-  fabric::FabricNetwork network(config, &workload);
-  const auto duration =
-      static_cast<sim::SimTime>(MeasureSeconds() * 1e6);
-  const auto warmup = static_cast<sim::SimTime>(WarmupSeconds() * 1e6);
-  return network.RunFor(duration, warmup);
-}
-
-void PrintHeader(const std::string& title, const std::string& paper_ref) {
+void PrintHeader(const std::string& title, const std::string& paper_ref,
+                 const std::string& run) {
   std::printf("==============================================================\n");
   std::printf("%s\n", title.c_str());
   std::printf("Reproduces: %s\n", paper_ref.c_str());
-  std::printf("Virtual run: %.0fs measured (+%.0fs warmup). "
-              "FABRICPP_BENCH_FULL=1 for paper-length 90s runs.\n",
-              MeasureSeconds(), WarmupSeconds());
+  if (!run.empty()) std::printf("%s\n", run.c_str());
   std::printf("==============================================================\n");
-}
-
-void PrintComparisonRow(const std::string& label,
-                        const fabric::RunReport& vanilla,
-                        const fabric::RunReport& plusplus) {
-  const double factor = vanilla.successful_tps > 0
-                            ? plusplus.successful_tps / vanilla.successful_tps
-                            : 0.0;
-  std::printf(
-      "%-34s | fabric %8.1f tps (fail %7.1f) | fabric++ %8.1f tps "
-      "(fail %7.1f) | x%.2f\n",
-      label.c_str(), vanilla.successful_tps, vanilla.failed_tps,
-      plusplus.successful_tps, plusplus.failed_tps, factor);
 }
 
 }  // namespace fabricpp::bench

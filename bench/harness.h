@@ -1,39 +1,14 @@
 #ifndef FABRICPP_BENCH_HARNESS_H_
 #define FABRICPP_BENCH_HARNESS_H_
 
-#include <memory>
 #include <string>
-
-#include "fabric/config.h"
-#include "fabric/metrics.h"
-#include "fabric/network.h"
-#include "workload/workload.h"
 
 namespace fabricpp::bench {
 
-/// How long each experiment fires transactions, in virtual seconds.
-///
-/// The paper runs 90 s per configuration; the default here is chosen so the
-/// full figure sweeps finish in minutes on a laptop while the reported
-/// shapes are stable. Override with FABRICPP_BENCH_SECONDS=<n> or set
-/// FABRICPP_BENCH_FULL=1 for paper-length runs.
-double MeasureSeconds();
-
-/// Virtual warm-up excluded from measurement (default 20% of the run,
-/// at most 5 s).
-double WarmupSeconds();
-
-/// Builds a network for `config` + `workload`, runs it, returns the report.
-fabric::RunReport RunExperiment(const fabric::FabricConfig& config,
-                                const workload::Workload& workload);
-
 /// Prints a bench header naming the paper experiment being reproduced.
-void PrintHeader(const std::string& title, const std::string& paper_ref);
-
-/// Prints one comparison row: configuration label + vanilla vs Fabric++.
-void PrintComparisonRow(const std::string& label,
-                        const fabric::RunReport& vanilla,
-                        const fabric::RunReport& plusplus);
+/// `run`, when not empty, is a line stating how long the bench runs.
+void PrintHeader(const std::string& title, const std::string& paper_ref,
+                 const std::string& run = "");
 
 }  // namespace fabricpp::bench
 

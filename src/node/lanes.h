@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 
+#include "common/strings.h"
 #include "fabric/config.h"
 #include "runtime/runtime.h"
 
@@ -24,9 +26,10 @@ inline uint32_t ChannelLaneCount(const fabric::FabricConfig& config,
   return std::min<uint32_t>(config.num_channels, 8);
 }
 
-/// The lane a channel's pipeline runs on.
-inline uint32_t LaneForChannel(uint32_t channel, size_t num_lanes) {
-  return channel % static_cast<uint32_t>(num_lanes);
+/// The name of a node's lane `lane`: lane 0 is the node itself, lane i > 0
+/// is "<node>-lane-<i>".
+inline std::string LaneName(const std::string& node, uint32_t lane) {
+  return lane == 0 ? node : StrFormat("%s-lane-%u", node.c_str(), lane);
 }
 
 }  // namespace fabricpp::node

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/strings.h"
 #include "ledger/ledger.h"
 #include "node/client_node.h"
 #include "node/lanes.h"
@@ -16,24 +15,18 @@
 
 namespace fabricpp::node {
 
-OrdererNode::OrdererNode(const NodeContext& ctx)
-    : ctx_(ctx),
-      endpoint_(&ctx.runtime->AddEndpoint("orderer")),
-      cpu_(&ctx.runtime->AddExecutor(*endpoint_, "orderer-cpu",
-                                     ctx.config->orderer_cores)) {
+OrdererNode::OrdererNode(const NodeContext& ctx) : ctx_(ctx) {
   // Lane 0 is the primary context; extra lanes (thread runtime,
   // multi-channel) each get their own endpoint thread and executor so
   // channels stop serializing on one mailbox.
-  lane_endpoints_.push_back(endpoint_);
-  lane_cpus_.push_back(cpu_);
   const uint32_t lanes = ChannelLaneCount(*ctx.config, ctx.runtime->mode());
-  for (uint32_t lane = 1; lane < lanes; ++lane) {
-    runtime::Endpoint& ep =
-        ctx.runtime->AddEndpoint(StrFormat("orderer-lane-%u", lane));
-    lane_endpoints_.push_back(&ep);
-    lane_cpus_.push_back(&ctx.runtime->AddExecutor(
-        ep, StrFormat("orderer-lane-%u-cpu", lane),
-        ctx.config->orderer_cores));
+  lanes_.reserve(lanes);
+  for (uint32_t i = 0; i < lanes; ++i) {
+    const std::string lane = LaneName("orderer", i);
+    runtime::Endpoint& ep = ctx.runtime->AddEndpoint(lane);
+    runtime::Executor& cpu =
+        ctx.runtime->AddExecutor(ep, lane + "-cpu", ctx.config->orderer_cores);
+    lanes_.push_back({&ep, &cpu});
   }
   const crypto::Digest genesis_hash = ledger::Ledger().LastHash();
   FairScheduler::Options admission;

@@ -42,15 +42,14 @@ class OrdererNode {
   /// The service's deliver callback is pointed at DispatchBlock.
   void SetConsensus(ConsensusService* consensus);
 
-  runtime::Endpoint& endpoint() { return *endpoint_; }
-  runtime::NodeId node_id() const { return endpoint_->id(); }
+  runtime::Endpoint& endpoint() { return *lanes_[0].endpoint; }
+  runtime::NodeId node_id() const { return lanes_[0].endpoint->id(); }
   /// The lane endpoint channel `channel`'s pipeline runs on (== endpoint()
   /// under sim or with a single lane). Messages for the channel must be
   /// delivered here.
   runtime::Endpoint& endpoint_for(uint32_t channel) {
-    return *lane_endpoints_[channel % lane_endpoints_.size()];
+    return *lane_for(channel).endpoint;
   }
-  size_t num_lanes() const { return lane_endpoints_.size(); }
 
   /// Delivery of a transaction from a client.
   void HandleTransaction(uint32_t channel, proto::Transaction tx);
@@ -163,23 +162,23 @@ class OrdererNode {
   fabric::Metrics& metrics() { return *ctx_.metrics; }
   runtime::Transport& transport() { return ctx_.runtime->transport(); }
 
-  // --- Per-lane context (index 0 is the primary endpoint/cpu) ---
-  uint32_t lane_for(uint32_t channel) const {
-    return channel % static_cast<uint32_t>(lane_endpoints_.size());
-  }
+  /// One ordering lane: its endpoint thread and executor. Lane 0 is the
+  /// primary context.
+  struct Lane {
+    runtime::Endpoint* endpoint;
+    runtime::Executor* cpu;
+  };
+
+  Lane& lane_for(uint32_t channel) { return lanes_[channel % lanes_.size()]; }
   runtime::Clock& clock_for(uint32_t channel) {
-    return lane_endpoints_[lane_for(channel)]->clock();
+    return lane_for(channel).endpoint->clock();
   }
   runtime::Executor& cpu_for(uint32_t channel) {
-    return *lane_cpus_[lane_for(channel)];
+    return *lane_for(channel).cpu;
   }
 
   NodeContext ctx_;
-  runtime::Endpoint* endpoint_;
-  runtime::Executor* cpu_;
-  /// Lane contexts; [0] aliases the primary endpoint_/cpu_.
-  std::vector<runtime::Endpoint*> lane_endpoints_;
-  std::vector<runtime::Executor*> lane_cpus_;
+  std::vector<Lane> lanes_;
   ConsensusService* consensus_ = nullptr;
   std::vector<ChannelState> channels_;
   /// Atomic: lanes cut blocks concurrently under the thread runtime.

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/strings.h"
 #include "node/client_node.h"
 #include "node/lanes.h"
 #include "node/mesh.h"
@@ -18,32 +17,25 @@ PeerNode::PeerNode(const NodeContext& ctx, uint32_t index, std::string name,
       index_(index),
       name_(std::move(name)),
       org_(std::move(org)),
-      endpoint_(&ctx.runtime->AddEndpoint(name_)),
-      cpu_(&ctx.runtime->AddExecutor(*endpoint_, name_ + "-cpu",
-                                     ctx.config->peer_cores)),
       endorser_(name_, org_, ctx.config->seed, ctx.registry),
-      validator_(ctx.config->seed, ctx.policies,
-                 ctx.runtime->RequestPool(ctx.config->validator_workers)),
       channels_(ctx.config->num_channels) {
   // Lane 0 is the primary context; extra lanes (thread runtime,
   // multi-channel) each get their own endpoint thread, executor, and
   // validator, so independent channels endorse and commit in parallel.
-  // The validator is per lane because its ParallelFor pool is
-  // single-user; the endorser is shared (const, internally synchronized).
-  lane_endpoints_.push_back(endpoint_);
-  lane_cpus_.push_back(cpu_);
+  // Each lane requests its endpoint, executor and pool in that order: the
+  // runtime numbers endpoints as they are added, and sim fingerprints see
+  // the numbers.
   const uint32_t lanes = ChannelLaneCount(*ctx.config, ctx.runtime->mode());
-  for (uint32_t lane = 1; lane < lanes; ++lane) {
-    runtime::Endpoint& ep = ctx.runtime->AddEndpoint(
-        StrFormat("%s-lane-%u", name_.c_str(), lane));
-    lane_endpoints_.push_back(&ep);
-    lane_cpus_.push_back(&ctx.runtime->AddExecutor(
-        ep, StrFormat("%s-lane-%u-cpu", name_.c_str(), lane),
-        ctx.config->peer_cores));
-    auto validator = std::make_unique<peer::Validator>(
-        ctx.config->seed, ctx.policies,
-        ctx.runtime->RequestPool(ctx.config->validator_workers));
-    extra_validators_.push_back(std::move(validator));
+  lanes_.reserve(lanes);
+  for (uint32_t i = 0; i < lanes; ++i) {
+    const std::string lane = LaneName(name_, i);
+    runtime::Endpoint& ep = ctx.runtime->AddEndpoint(lane);
+    runtime::Executor& cpu =
+        ctx.runtime->AddExecutor(ep, lane + "-cpu", ctx.config->peer_cores);
+    ThreadPool* pool = ctx.runtime->RequestPool(ctx.config->validator_workers);
+    auto validator =
+        std::make_unique<peer::Validator>(ctx.config->seed, ctx.policies, pool);
+    lanes_.push_back({&ep, &cpu, std::move(validator)});
   }
 }
 

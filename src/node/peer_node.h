@@ -38,15 +38,14 @@ class PeerNode {
   const std::string& name() const { return name_; }
   const std::string& org() const { return org_; }
   uint32_t index() const { return index_; }
-  runtime::Endpoint& endpoint() { return *endpoint_; }
-  runtime::NodeId node_id() const { return endpoint_->id(); }
+  runtime::Endpoint& endpoint() { return *lanes_[0].endpoint; }
+  runtime::NodeId node_id() const { return lanes_[0].endpoint->id(); }
   /// The lane endpoint channel `channel`'s pipeline runs on (== endpoint()
   /// under sim or with a single lane). Messages for the channel must be
   /// delivered here.
   runtime::Endpoint& endpoint_for(uint32_t channel) {
-    return *lane_endpoints_[channel % lane_endpoints_.size()];
+    return *lane_for(channel).endpoint;
   }
-  size_t num_lanes() const { return lane_endpoints_.size(); }
 
   /// Delivery of a proposal from a client (simulation phase entry).
   void HandleProposal(uint32_t channel, proto::Proposal proposal,
@@ -78,8 +77,7 @@ class PeerNode {
   /// Pre-warms every lane validator's verification-identity cache
   /// (composition root, once the full peer roster is known).
   void PrewarmIdentities(const std::vector<std::string>& names) {
-    validator_.PrewarmIdentities(names);
-    for (const auto& v : extra_validators_) v->PrewarmIdentities(names);
+    for (Lane& lane : lanes_) lane.validator->PrewarmIdentities(names);
   }
 
   const ledger::Ledger& ledger(uint32_t channel) const {
@@ -96,8 +94,6 @@ class PeerNode {
       channel.db = statedb::StateDb(genesis);
     }
   }
-
-  runtime::Executor& cpu() { return *cpu_; }
 
  private:
   struct PendingSim {
@@ -151,41 +147,37 @@ class PeerNode {
 
   const fabric::FabricConfig& config() const { return *ctx_.config; }
   fabric::Metrics& metrics() { return *ctx_.metrics; }
-  runtime::Clock& clock() { return endpoint_->clock(); }
+  runtime::Clock& clock() { return lanes_[0].endpoint->clock(); }
   runtime::Transport& transport() { return ctx_.runtime->transport(); }
 
-  // --- Per-lane context (index 0 is the primary endpoint/cpu/validator) ---
-  uint32_t lane_for(uint32_t channel) const {
-    return channel % static_cast<uint32_t>(lane_endpoints_.size());
-  }
+  /// One commit lane: its endpoint thread, executor and validator. Lane 0
+  /// is the primary context. Validators are per lane: ParallelFor pools are
+  /// single-user, so lanes committing concurrently must not share one.
+  struct Lane {
+    runtime::Endpoint* endpoint;
+    runtime::Executor* cpu;
+    std::unique_ptr<peer::Validator> validator;
+  };
+
+  Lane& lane_for(uint32_t channel) { return lanes_[channel % lanes_.size()]; }
   runtime::Clock& clock_for(uint32_t channel) {
-    return lane_endpoints_[lane_for(channel)]->clock();
+    return lane_for(channel).endpoint->clock();
   }
   runtime::Executor& cpu_for(uint32_t channel) {
-    return *lane_cpus_[lane_for(channel)];
+    return *lane_for(channel).cpu;
   }
-  /// Validators are per lane: ParallelFor pools are single-user, so lanes
-  /// committing concurrently must not share one.
   peer::Validator& validator_for(uint32_t channel) {
-    const uint32_t lane = lane_for(channel);
-    return lane == 0 ? validator_ : *extra_validators_[lane - 1];
+    return *lane_for(channel).validator;
   }
 
   NodeContext ctx_;
   uint32_t index_;
   std::string name_;
   std::string org_;
-  runtime::Endpoint* endpoint_;
-  runtime::Executor* cpu_;
   /// Shared across lanes: Endorse is const and the identity cache is
   /// internally synchronized.
   peer::Endorser endorser_;
-  peer::Validator validator_;
-  /// Lane contexts; [0] aliases the primary endpoint_/cpu_/validator_, and
-  /// extra_validators_[i] belongs to lane i + 1.
-  std::vector<runtime::Endpoint*> lane_endpoints_;
-  std::vector<runtime::Executor*> lane_cpus_;
-  std::vector<std::unique_ptr<peer::Validator>> extra_validators_;
+  std::vector<Lane> lanes_;
   std::vector<ChannelState> channels_;
   /// Crash simulation is sim-only (single lane, single thread): never
   /// written under the thread runtime, so the cross-lane reads race-free.

@@ -189,8 +189,9 @@ void ClientNode::Submit(proto::Proposal proposal) {
         pending.expected = static_cast<uint32_t>(endorsers.size());
         pending_.emplace(proposal.proposal_id, std::move(pending));
         for (uint32_t peer_index : endorsers) {
-          ctx_.mesh->SendProposal(*home_, peer_index, channel_, proposal,
-                                  index_, size);
+          ctx_.mesh->SendToPeer(*home_, peer_index,
+                                proto::ProposalMsg{channel_, index_, proposal},
+                                size);
         }
         ArmEndorsementTimeout(proposal.proposal_id);
       });
@@ -262,7 +263,8 @@ void ClientNode::Assemble(PendingProposal pending) {
         tx.ComputeTxId(pending.proposal);
         const uint64_t proposal_id = tx.proposal_id;
         const uint64_t size = tx.ByteSize() + kMessageOverhead;
-        ctx_.mesh->SendTransaction(*home_, channel_, std::move(tx), size);
+        ctx_.mesh->SendToOrderer(
+            *home_, proto::TransactionMsg{channel_, std::move(tx)}, size);
         ArmCommitTimeout(proposal_id);
       });
 }

@@ -6,46 +6,35 @@
 #include <string>
 
 #include "fabric/metrics.h"
+#include "node/deliver.h"
 #include "node/mesh.h"
 #include "node/node_context.h"
 
 namespace fabricpp::node {
 
 /// The in-process Mesh: every destination lives in this composition, so a
-/// send is a runtime::Transport task that invokes the target's handler
-/// directly — byte-for-byte the closures the node layer shipped before the
-/// seam existed, which is what keeps sim fingerprints and thread-mode
-/// behavior pinned across the refactor.
+/// send is one runtime::Transport task that runs the handler call the
+/// delivery table (node/deliver.h) routes the message to.
 ///
 /// When `measure_wire_bytes` is on (thread runtime), every send's payload
 /// is also counted through the real wire format's encoder (ByteWriter's
-/// size-only mode, from the fields the send already holds: no copy, no
-/// buffer) and its framed size recorded in Metrics::transport_counters() —
-/// the measured counterpart to the modeled kMessageOverhead sizes the cost
-/// model charges. Sim runs must leave it off: the measurement itself is
-/// invisible to the report, but skipping the count keeps the deterministic
-/// path free of dead work.
+/// size-only mode: no buffer) and its framed size recorded in
+/// Metrics::transport_counters() — the measured counterpart to the modeled
+/// kMessageOverhead sizes the cost model charges. Sim runs must leave it
+/// off: the measurement itself is invisible to the report, but skipping
+/// the count keeps the deterministic path free of dead work.
 class LocalMesh : public Mesh {
  public:
   LocalMesh(fabric::Metrics* metrics, NodeDirectory* directory,
             runtime::Runtime* runtime, bool measure_wire_bytes);
 
-  void SendProposal(runtime::Endpoint& from, uint32_t peer_index,
-                    uint32_t channel, const proto::Proposal& proposal,
-                    uint32_t client_index, uint64_t size_bytes) override;
-  void SendTransaction(runtime::Endpoint& from, uint32_t channel,
-                       proto::Transaction tx, uint64_t size_bytes) override;
-  void SendEndorsementReply(runtime::Endpoint& from, uint32_t client_index,
-                            uint64_t proposal_id,
-                            Result<peer::EndorsementResponse> response,
-                            uint64_t size_bytes) override;
-  void SendBusy(runtime::Endpoint& from, uint32_t client_index,
-                const BusyResponse& busy) override;
-  void SendBusyByName(runtime::Endpoint& from, const std::string& client,
-                      const BusyResponse& busy) override;
+  void SendToPeer(runtime::Endpoint& from, uint32_t peer_index,
+                  PeerMessage msg, uint64_t size_bytes) override;
+  void SendToOrderer(runtime::Endpoint& from, OrdererMessage msg,
+                     uint64_t size_bytes) override;
+  void SendToClient(runtime::Endpoint& from, ClientMessage msg,
+                    uint64_t size_bytes) override;
   bool RoutesToClient(const std::string& client) override;
-  void SendOutcome(runtime::Endpoint& from, const std::string& client,
-                   uint64_t proposal_id, proto::TxValidationCode code) override;
   void SendBlock(runtime::Endpoint& from, uint32_t peer_index,
                  uint32_t channel, std::shared_ptr<proto::Block> block,
                  uint64_t block_bytes) override;
@@ -54,22 +43,19 @@ class LocalMesh : public Mesh {
   void BroadcastBlock(runtime::Endpoint& from, uint32_t channel,
                       std::shared_ptr<proto::Block> block,
                       uint64_t block_bytes) override;
-  void SendChainInfo(runtime::Endpoint& from, uint32_t peer_index,
-                     uint32_t channel, uint64_t height) override;
-  void SendBlockRequest(runtime::Endpoint& from, uint32_t channel,
-                        uint32_t peer_index, uint64_t from_number) override;
 
  private:
-  runtime::Transport& transport() { return runtime_->transport(); }
-  /// Records the real framed size of a send (thread mode only).
-  /// `payload_size` is the encoded wire payload's size; `modeled` what the
-  /// cost model charged.
+  /// The encoded payload size of `msg` when measuring, else 0.
+  template <typename Message>
+  size_t PayloadSize(const Message& msg) const;
+  /// Sends `delivery` over the runtime transport (a routeless one is
+  /// dropped) and, on threads, records its real framed size:
+  /// `payload_size` is the encoded wire payload's size, `size_bytes` what
+  /// the cost model charged.
+  void Send(runtime::Endpoint& from, Delivery delivery, uint64_t size_bytes,
+            size_t payload_size);
+  /// Records the real framed size of one send (thread mode only).
   void Measure(size_t payload_size, uint64_t modeled);
-  /// Posts `block` to `peer_index`'s lane for `channel`.
-  void DeliverBlock(runtime::Endpoint& from, uint32_t peer_index,
-                    uint32_t channel,
-                    const std::shared_ptr<proto::Block>& block,
-                    uint64_t block_bytes);
 
   fabric::Metrics* metrics_;
   NodeDirectory* directory_;

@@ -82,8 +82,9 @@ void OrdererNode::HandleBlockRequest(uint32_t channel, uint32_t peer_index,
   }
   const uint64_t highest =
       ch.dispatched.empty() ? 0 : ch.dispatched.rbegin()->first;
-  ctx_.mesh->SendChainInfo(endpoint_for(channel), peer_index, channel,
-                           highest);
+  ctx_.mesh->SendToPeer(endpoint_for(channel), peer_index,
+                        proto::ChainInfoMsg{channel, highest},
+                        kMessageOverhead);
 }
 
 void OrdererNode::HandleTransaction(uint32_t channel, proto::Transaction tx) {
@@ -116,8 +117,13 @@ void OrdererNode::HandleTransaction(uint32_t channel, proto::Transaction tx) {
 void OrdererNode::NotifyBusy(uint32_t channel,
                              const std::string& client_name,
                              uint64_t proposal_id) {
-  const BusyResponse busy{proposal_id, config().busy_retry_hint};
-  ctx_.mesh->SendBusyByName(endpoint_for(channel), client_name, busy);
+  const std::optional<uint32_t> client_index =
+      ClientIndexOf(client_name, config());
+  if (!client_index.has_value()) return;
+  ctx_.mesh->SendToClient(
+      endpoint_for(channel),
+      proto::BusyMsg{*client_index, proposal_id, config().busy_retry_hint},
+      kMessageOverhead);
 }
 
 void OrdererNode::PumpAdmission(uint32_t channel) {
@@ -149,8 +155,9 @@ void OrdererNode::NotifyEarlyAbort(uint32_t channel,
   // transactions leave the pipeline immediately and the client learns of it
   // without waiting for validation). The code travels with the outcome so a
   // remote client host can account the abort under the right bucket.
-  ctx_.mesh->SendOutcome(endpoint_for(channel), tx.client, tx.proposal_id,
-                         code);
+  ctx_.mesh->SendToClient(endpoint_for(channel),
+                          proto::OutcomeMsg{tx.client, tx.proposal_id, code},
+                          kMessageOverhead);
 }
 
 void OrdererNode::Enqueue(uint32_t channel, proto::Transaction tx) {

@@ -50,6 +50,9 @@ class OrdererNode {
   runtime::Endpoint& endpoint_for(uint32_t channel) {
     return *lane_for(channel).endpoint;
   }
+  uint32_t num_channels() const {
+    return static_cast<uint32_t>(channels_.size());
+  }
 
   /// Delivery of a transaction from a client.
   void HandleTransaction(uint32_t channel, proto::Transaction tx);
@@ -133,8 +136,8 @@ class OrdererNode {
   void NotifyEarlyAbort(uint32_t channel, const proto::Transaction& tx,
                         proto::TxValidationCode code);
   /// Tells `client_name` its transaction was refused for overload, with the
-  /// configured retry-after hint. External clients (not in the directory)
-  /// are only counted.
+  /// configured retry-after hint. External submitters (not one of the
+  /// cluster's clients) are only counted.
   void NotifyBusy(uint32_t channel, const std::string& client_name,
                   uint64_t proposal_id);
   /// Drains the fair scheduler into the verify stage while the per-channel

@@ -28,9 +28,7 @@ struct BusyResponse {
 };
 
 /// An endorser's reply in its wire form: the effects and signature on
-/// success, the status code and message on failure. Both meshes encode
-/// through it, so the in-process byte measurement and the socket frame
-/// agree.
+/// success, the status code and message on failure.
 inline proto::EndorsementReplyMsg EndorsementReplyToWire(
     uint32_t client_index, uint64_t proposal_id,
     Result<peer::EndorsementResponse> response) {
@@ -48,25 +46,7 @@ inline proto::EndorsementReplyMsg EndorsementReplyToWire(
   return msg;
 }
 
-/// The payload EndorsementReplyToWire's message encodes to, written from
-/// `response` in place: the in-process mesh counts a reply's bytes through
-/// it without copying the reply.
-inline void EncodeEndorsementReply(
-    ByteWriter* w, uint32_t client_index, uint64_t proposal_id,
-    const Result<peer::EndorsementResponse>& response) {
-  if (response.ok()) {
-    proto::EndorsementReplyMsg::EncodeOkTo(w, client_index, proposal_id,
-                                           response->rwset,
-                                           response->endorsement);
-  } else {
-    proto::EndorsementReplyMsg::EncodeErrorTo(
-        w, client_index, proposal_id,
-        static_cast<uint8_t>(response.status().code()),
-        response.status().message());
-  }
-}
-
-/// Inverse of EndorsementReplyToWire.
+/// Inverse of EndorsementReplyToWire: what the client's handler receives.
 inline Result<peer::EndorsementResponse> EndorsementReplyFromWire(
     proto::EndorsementReplyMsg msg) {
   if (!msg.ok) {

@@ -184,14 +184,9 @@ Result<HelloMsg> HelloMsg::Decode(ByteReader* r) {
 }
 
 void ProposalMsg::EncodeTo(ByteWriter* w) const {
-  EncodeTo(w, channel, client_index, proposal);
-}
-
-void ProposalMsg::EncodeTo(ByteWriter* w, uint32_t channel,
-                           uint32_t client_index, const Proposal& proposal) {
   w->PutU32(channel);
   w->PutU32(client_index);
-  w->PutNested([&proposal](ByteWriter* body) { proposal.EncodeTo(body); });
+  w->PutNested([this](ByteWriter* body) { proposal.EncodeTo(body); });
 }
 
 Bytes ProposalMsg::Encode() const { return EncodeMessage(*this); }
@@ -209,37 +204,20 @@ Result<ProposalMsg> ProposalMsg::Decode(ByteReader* r) {
 }
 
 void EndorsementReplyMsg::EncodeTo(ByteWriter* w) const {
+  w->PutU32(client_index);
+  w->PutVarint(proposal_id);
+  w->PutU8(ok ? 1 : 0);
   if (ok) {
-    EncodeOkTo(w, client_index, proposal_id, rwset, endorsement);
+    rwset.EncodeTo(w);
+    w->PutString(endorsement.peer);
+    w->PutString(endorsement.org);
+    w->PutString(endorsement.signature.signer);
+    w->PutRaw(endorsement.signature.tag.data(),
+              endorsement.signature.tag.size());
   } else {
-    EncodeErrorTo(w, client_index, proposal_id, status_code, status_message);
+    w->PutU8(status_code);
+    w->PutString(status_message);
   }
-}
-
-void EndorsementReplyMsg::EncodeOkTo(ByteWriter* w, uint32_t client_index,
-                                     uint64_t proposal_id,
-                                     const ReadWriteSet& rwset,
-                                     const Endorsement& endorsement) {
-  w->PutU32(client_index);
-  w->PutVarint(proposal_id);
-  w->PutU8(1);
-  rwset.EncodeTo(w);
-  w->PutString(endorsement.peer);
-  w->PutString(endorsement.org);
-  w->PutString(endorsement.signature.signer);
-  w->PutRaw(endorsement.signature.tag.data(),
-            endorsement.signature.tag.size());
-}
-
-void EndorsementReplyMsg::EncodeErrorTo(ByteWriter* w, uint32_t client_index,
-                                        uint64_t proposal_id,
-                                        uint8_t status_code,
-                                        std::string_view status_message) {
-  w->PutU32(client_index);
-  w->PutVarint(proposal_id);
-  w->PutU8(0);
-  w->PutU8(status_code);
-  w->PutString(status_message);
 }
 
 Bytes EndorsementReplyMsg::Encode() const { return EncodeMessage(*this); }
@@ -286,11 +264,6 @@ Result<BusyMsg> BusyMsg::Decode(ByteReader* r) {
 }
 
 void TransactionMsg::EncodeTo(ByteWriter* w) const {
-  EncodeTo(w, channel, tx);
-}
-
-void TransactionMsg::EncodeTo(ByteWriter* w, uint32_t channel,
-                              const Transaction& tx) {
   w->PutU32(channel);
   tx.EncodeTo(w);
 }
@@ -357,11 +330,6 @@ Result<BlockRequestMsg> BlockRequestMsg::Decode(ByteReader* r) {
 }
 
 void OutcomeMsg::EncodeTo(ByteWriter* w) const {
-  EncodeTo(w, client, proposal_id, code);
-}
-
-void OutcomeMsg::EncodeTo(ByteWriter* w, std::string_view client,
-                          uint64_t proposal_id, TxValidationCode code) {
   w->PutString(client);
   w->PutVarint(proposal_id);
   w->PutU8(static_cast<uint8_t>(code));

@@ -559,9 +559,6 @@ TEST(WireFormatTest, CountedSizeEqualsEncodedSizeForEveryType) {
     for (const uint32_t channel : {0u, UINT32_MAX}) {
       const ProposalMsg msg{channel, 7, p};
       ExpectEncodedSize(msg, "PROPOSAL");
-      ExpectCountedAndWritten(
-          [&](ByteWriter* w) { ProposalMsg::EncodeTo(w, channel, 7, p); },
-          msg.Encode(), "PROPOSAL from borrowed fields");
     }
   }
   for (const ReadWriteSet& rw : {ReadWriteSet{}, big_rwset}) {
@@ -571,9 +568,6 @@ TEST(WireFormatTest, CountedSizeEqualsEncodedSizeForEveryType) {
     EXPECT_EQ(tx.ByteSize(), tx.Encode().size());
     const TransactionMsg msg{3, tx};
     ExpectEncodedSize(msg, "TRANSACTION");
-    ExpectCountedAndWritten(
-        [&](ByteWriter* w) { TransactionMsg::EncodeTo(w, 3, tx); },
-        msg.Encode(), "TRANSACTION from borrowed fields");
   }
   for (const Block& block : {Block{}, MakeBlock(), big_block}) {
     EXPECT_EQ(block.ByteSize(), block.Encode().size());
@@ -584,9 +578,8 @@ TEST(WireFormatTest, CountedSizeEqualsEncodedSizeForEveryType) {
         msg.Encode(), "BLOCK from borrowed fields");
   }
 
-  // Both arms of an endorsement reply, counted from the response the
-  // in-process mesh holds and compared with the message the socket mesh
-  // builds from it.
+  // Both arms of an endorsement reply, as the peer builds it from its
+  // response.
   peer::EndorsementResponse ok;
   ok.rwset = big_rwset;
   ok.endorsement.peer = big;
@@ -598,23 +591,13 @@ TEST(WireFormatTest, CountedSizeEqualsEncodedSizeForEveryType) {
     const EndorsementReplyMsg msg =
         node::EndorsementReplyToWire(9, UINT64_MAX, response);
     ExpectEncodedSize(msg, "ENDORSEMENT_REPLY");
-    ExpectCountedAndWritten(
-        [&](ByteWriter* w) {
-          node::EncodeEndorsementReply(w, 9, UINT64_MAX, response);
-        },
-        msg.Encode(), "ENDORSEMENT_REPLY from the response");
   }
 
   for (const std::string& name : {std::string(), big}) {
     ExpectEncodedSize(HelloMsg{NodeRole::kPeer, 3, name}, "HELLO");
-    const OutcomeMsg outcome{name, UINT64_MAX, TxValidationCode::kMvccConflict};
-    ExpectEncodedSize(outcome, "OUTCOME");
-    ExpectCountedAndWritten(
-        [&](ByteWriter* w) {
-          OutcomeMsg::EncodeTo(w, name, UINT64_MAX,
-                               TxValidationCode::kMvccConflict);
-        },
-        outcome.Encode(), "OUTCOME from borrowed fields");
+    ExpectEncodedSize(
+        OutcomeMsg{name, UINT64_MAX, TxValidationCode::kMvccConflict},
+        "OUTCOME");
   }
   for (const uint64_t n : {uint64_t{0}, uint64_t{127}, uint64_t{128},
                            UINT64_MAX}) {

@@ -17,6 +17,7 @@
 #include <string>
 #include <thread>
 
+#include "common/logging.h"
 #include "fabric/config_file.h"
 #include "fabric/socket_host.h"
 
@@ -82,6 +83,9 @@ int main(int argc, char** argv) {
   sigaddset(&sigs, SIGTERM);
   pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
 
+  // A daemon logs its lifecycle: connections, and a peer's catch-up on the
+  // chain it missed.
+  fabricpp::SetLogLevel(fabricpp::LogLevel::kInfo);
   fabricpp::fabric::SocketHost host(deployment->config,
                                     deployment->workload.get(), *role);
   const fabricpp::Status started = host.Start();

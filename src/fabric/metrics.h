@@ -87,11 +87,15 @@ struct RunReport {
   uint64_t ordering_stalls = 0;
   double ordering_stall_ms = 0;  ///< Total virtual time those batches waited.
 
-  // --- Admission / overload telemetry (zero with admission control off) ---
+  // --- Admission / overload telemetry (zero with admission control off,
+  // apart from the catch-up refusals in endorser_busy) ---
   /// Whole-run totals (not window-gated): admission accounting must balance
   /// even for work admitted during warm-up or the drain.
   uint64_t endorser_admitted = 0;  ///< Proposals admitted by endorsers.
-  uint64_t endorser_busy = 0;      ///< Proposals refused with BUSY.
+  /// Proposals refused with BUSY: by endorser admission control, or by a
+  /// peer still catching up on blocks it missed, with admission control on
+  /// or off.
+  uint64_t endorser_busy = 0;
   uint64_t orderer_admitted = 0;   ///< Transactions admitted by the orderer.
   uint64_t orderer_busy = 0;       ///< Transactions refused with BUSY.
   /// Thread-runtime mailbox deliveries shed at a full bounded mailbox
@@ -274,7 +278,8 @@ class Metrics {
   }
 
   /// An endorsing peer's admission decision on a delivered proposal:
-  /// admitted into the simulation stage, or refused with BUSY. Whole-run
+  /// admitted into the simulation stage, or refused with BUSY (admission
+  /// control, or a channel still catching up). Whole-run
   /// totals (no window gating): the zero-silent-drops accounting must
   /// balance across warm-up and drain too.
   void NoteEndorserAdmission(bool admitted) {

@@ -204,12 +204,22 @@ node::ClientNode* NodeSlice::FindClient(const std::string& name) {
 
 std::vector<uint32_t> NodeSlice::EndorsersFor(uint64_t proposal_id) {
   // One endorsing peer per org (paper §2.2.1), rotated by proposal id so
-  // load spreads: org o contributes peer o * peers_per_org + id % that.
+  // load spreads: org o contributes peer o * peers_per_org + id % that —
+  // or, when that peer is unreachable, the next reachable one of the org
+  // in rotation order (if none is, the rotation's pick).
   const uint32_t per_org = config_->peers_per_org;
   std::vector<uint32_t> endorsers;
   for (uint32_t o = 0; o < config_->num_orgs; ++o) {
-    endorsers.push_back(o * per_org +
-                        static_cast<uint32_t>(proposal_id % per_org));
+    uint32_t pick = o * per_org + static_cast<uint32_t>(proposal_id % per_org);
+    for (uint32_t k = 0; peer_reachable_ && k < per_org; ++k) {
+      const uint32_t candidate =
+          o * per_org + static_cast<uint32_t>((proposal_id + k) % per_org);
+      if (peer_reachable_(candidate)) {
+        pick = candidate;
+        break;
+      }
+    }
+    endorsers.push_back(pick);
   }
   return endorsers;
 }

@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "chaincode/chaincode.h"
@@ -93,6 +94,13 @@ class NodeSlice : public node::NodeDirectory {
   runtime::Endpoint& client_endpoint() const { return *client_endpoints_[0]; }
   runtime::Executor& client_cpu() const { return *client_cpus_[0]; }
 
+  /// Lets EndorsersFor skip a peer `reachable` reports down (a socket
+  /// route to a crashed peer), so proposals go to another peer of the org
+  /// instead of queuing for the dead one. Set before any client fires.
+  void set_peer_reachable(std::function<bool(uint32_t peer_index)> reachable) {
+    peer_reachable_ = std::move(reachable);
+  }
+
   /// Every hosted peer that is up asks the orderer for the blocks it is
   /// missing, each channel on its own lane (under sim: on the shared loop,
   /// at the current time).
@@ -154,6 +162,8 @@ class NodeSlice : public node::NodeDirectory {
   node::SoloConsensus solo_consensus_;
   std::vector<std::unique_ptr<node::ClientNode>> clients_;
   std::unordered_map<std::string, node::ClientNode*> clients_by_name_;
+  /// Unset: every peer counts as reachable.
+  std::function<bool(uint32_t)> peer_reachable_;
   bool ran_ = false;
 };
 

@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -16,8 +17,11 @@
 
 #include "fabric/config.h"
 #include "fabric/node_slice.h"
+#include "common/strings.h"
 #include "fabric/socket_host.h"
+#include "node/client_node.h"
 #include "node/mesh.h"
+#include "node/wire.h"
 #include "proto/wire_format.h"
 #include "runtime/socket_transport.h"
 #include "sim/time.h"
@@ -237,6 +241,21 @@ TEST(SocketTransportTest, ParseHostPortRejectsGarbage) {
 namespace fabricpp::fabric {
 namespace {
 
+using proto::NodeRole;
+using proto::WireMessageType;
+
+/// Polls `done` until it holds or `timeout_ms` elapses.
+template <typename Pred>
+bool WaitUntil(uint32_t timeout_ms, const Pred& done) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return true;
+}
+
 TEST(SocketHostTest, ParseSocketRole) {
   auto role = ParseSocketRole("clients");
   ASSERT_TRUE(role.ok());
@@ -274,8 +293,22 @@ void ExpectSmallbankClusterConverges(uint32_t num_channels) {
 
   LocalSocketCluster cluster(config, &workload);
   ASSERT_TRUE(cluster.clients().WaitForCluster(10000));
+  // Every peer host starts catching up on the orderer's chain: on a fresh
+  // cluster the chain is empty, so each reaches parity at once.
+  for (uint32_t p = 0; p < 2; ++p) {
+    EXPECT_TRUE(WaitUntil(10000, [&]() {
+      return cluster.peer(p).metrics().Report().peer_recoveries ==
+             num_channels;
+    })) << "peer " << p;
+  }
   const RunReport report = cluster.clients().RunClients(2000000, 500000);
   EXPECT_GT(report.successful, 0u);
+  // Caught up before the first proposal and never killed: no peer ever
+  // refused one.
+  for (uint32_t p = 0; p < 2; ++p) {
+    EXPECT_EQ(cluster.peer(p).metrics().Report().endorser_busy, 0u)
+        << "peer " << p;
+  }
 
   const auto reports = cluster.clients().CollectPeerReports(20000);
   ASSERT_EQ(reports.size(), 2u);
@@ -307,6 +340,214 @@ TEST(SocketHostTest, SmallbankClusterConverges) {
 
 TEST(SocketHostTest, SmallbankClusterConvergesOnTwoChannels) {
   ExpectSmallbankClusterConverges(2);
+}
+
+/// A bare transport that speaks the wire protocol to one host under test,
+/// collecting whatever the host sends back.
+struct RawNode {
+  RawNode(NodeRole role, uint32_t index, bool listen) {
+    runtime::SocketTransport::Options options;
+    options.self_role = role;
+    options.self_index = index;
+    options.self_name = "raw";
+    if (listen) options.listen_address = "127.0.0.1:0";
+    transport = std::make_unique<runtime::SocketTransport>(
+        options, [this](const runtime::SocketPeerKey& from, proto::Frame f) {
+          sink.Handle(from, std::move(f));
+        });
+    EXPECT_TRUE(transport->Start().ok());
+  }
+  ~RawNode() { transport->Stop(); }
+
+  runtime::FrameSink sink;
+  std::unique_ptr<runtime::SocketTransport> transport;
+};
+
+using RawFrame = std::pair<WireMessageType, Bytes>;
+
+/// Sends each frame from `raw` to `host` (at `to`) and expects the host to
+/// drop it: its dropped-message count rises by exactly one per frame.
+void ExpectEachDropped(SocketHost& host, RawNode& raw,
+                       const runtime::SocketPeerKey& to,
+                       const std::vector<RawFrame>& frames) {
+  uint64_t dropped = host.transport().counters().messages_dropped;
+  for (size_t i = 0; i < frames.size(); ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_TRUE(raw.transport->Send(to, frames[i].first, frames[i].second));
+    ++dropped;
+    EXPECT_TRUE(WaitUntil(5000, [&]() {
+      return host.transport().counters().messages_dropped >= dropped;
+    }));
+    EXPECT_EQ(host.transport().counters().messages_dropped, dropped);
+  }
+}
+
+Bytes Truncated(Bytes payload) {
+  payload.pop_back();
+  return payload;
+}
+
+/// One org peer each for two orgs, one channel, two clients. Every address
+/// is refused until a test points one at a live listener.
+FabricConfig HostileFrameConfig() {
+  FabricConfig config = FabricConfig::FabricPlusPlus();
+  config.num_orgs = 2;
+  config.peers_per_org = 1;
+  config.num_channels = 1;
+  config.clients_per_channel = 2;
+  config.runtime_mode = "socket";
+  config.peer_addresses.assign(2, "127.0.0.1:1");
+  config.orderer_address = "127.0.0.1:1";
+  config.listen_address = "127.0.0.1:0";
+  return config;
+}
+
+std::string LocalAddress(uint16_t port) {
+  return StrFormat("127.0.0.1:%u", port);
+}
+
+// Hosts decode untrusted frames. A frame whose payload fails to decode, that
+// carries another role's message type, or that names a channel, client or
+// peer outside the cluster is dropped and counted, nothing is posted for it,
+// and the host keeps serving: the valid frame that follows is handled.
+TEST(SocketHostTest, HostsDropHostileFramesAndKeepServing) {
+  workload::SmallbankConfig wl;
+  wl.num_users = 50;
+  workload::SmallbankWorkload workload(wl);
+  FabricConfig config = HostileFrameConfig();
+
+  proto::Proposal proposal;
+  proposal.proposal_id = 42;
+  proposal.client = node::ClientNameFor(0, 1);
+  proposal.chaincode = "smallbank";
+  proto::Transaction tx;
+  tx.client = node::ClientNameFor(0, 1);
+  proto::Block block;
+  block.header.number = 1;
+  const proto::ProposalMsg valid_proposal{0, 1, proposal};
+
+  SocketHost orderer(config, &workload, {SocketRole::Kind::kOrderer});
+  ASSERT_TRUE(orderer.Start().ok());
+  config.orderer_address = LocalAddress(orderer.listen_port());
+  const runtime::SocketPeerKey orderer_key{NodeRole::kOrderer, 0};
+  {
+    SCOPED_TRACE("orderer host");
+    RawNode raw(NodeRole::kPeer, 1, /*listen=*/false);
+    raw.transport->Dial(orderer_key, config.orderer_address);
+    ASSERT_TRUE(raw.transport->WaitConnected({orderer_key}, 5000));
+    const uint64_t shipped = orderer.metrics().transport_counters().messages;
+    ExpectEachDropped(
+        orderer, raw, orderer_key,
+        {{WireMessageType::kTransaction, proto::TransactionMsg{1, tx}.Encode()},
+         {WireMessageType::kBlockRequest,
+          proto::BlockRequestMsg{1, 1, 1}.Encode()},
+         {WireMessageType::kBlockRequest,
+          proto::BlockRequestMsg{0, 2, 1}.Encode()},
+         {WireMessageType::kBlockRequest,
+          Truncated(proto::BlockRequestMsg{0, 1, 1}.Encode())},
+         {WireMessageType::kProposal, valid_proposal.Encode()}});
+    EXPECT_EQ(orderer.metrics().transport_counters().messages, shipped);
+
+    // Still serving: a valid block request gets its chain info.
+    ASSERT_TRUE(raw.transport->Send(orderer_key, WireMessageType::kBlockRequest,
+                                    proto::BlockRequestMsg{0, 1, 1}.Encode()));
+    ASSERT_TRUE(raw.sink.WaitFor(1, 5000));
+    const auto got = raw.sink.Take();
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].second.type,
+              static_cast<uint8_t>(WireMessageType::kChainInfo));
+    EXPECT_EQ(orderer.metrics().transport_counters().messages, shipped + 1);
+  }
+
+  SocketHost peer(config, &workload, {SocketRole::Kind::kPeer, 0});
+  ASSERT_TRUE(peer.Start().ok());
+  ASSERT_TRUE(WaitUntil(5000, [&]() {
+    return peer.metrics().Report().peer_recoveries == 1;
+  }));
+  {
+    SCOPED_TRACE("peer host");
+    const runtime::SocketPeerKey peer_key{NodeRole::kPeer, 0};
+    RawNode raw(NodeRole::kClientHost, 0, /*listen=*/false);
+    raw.transport->Dial(peer_key, LocalAddress(peer.listen_port()));
+    ASSERT_TRUE(raw.transport->WaitConnected({peer_key}, 5000));
+    ExpectEachDropped(
+        peer, raw, peer_key,
+        {{WireMessageType::kProposal,
+          proto::ProposalMsg{1, 1, proposal}.Encode()},
+         {WireMessageType::kProposal,
+          proto::ProposalMsg{0, 2, proposal}.Encode()},
+         {WireMessageType::kChainInfo, proto::ChainInfoMsg{1, 0}.Encode()},
+         {WireMessageType::kBlock, proto::BlockMsg{1, block}.Encode()},
+         {WireMessageType::kProposal, Truncated(valid_proposal.Encode())},
+         {WireMessageType::kTransaction,
+          proto::TransactionMsg{0, tx}.Encode()},
+         {WireMessageType::kBusy, proto::BusyMsg{0, 42, 0}.Encode()}});
+
+    // Still serving: the valid proposal is simulated and answered, and it
+    // is the only one that was.
+    ASSERT_TRUE(raw.transport->Send(peer_key, WireMessageType::kProposal,
+                                    valid_proposal.Encode()));
+    ASSERT_TRUE(raw.sink.WaitFor(1, 5000));
+    const auto got = raw.sink.Take();
+    ASSERT_EQ(got.size(), 1u);
+    ASSERT_EQ(got[0].second.type,
+              static_cast<uint8_t>(WireMessageType::kEndorsementReply));
+    ByteReader r(got[0].second.payload);
+    const auto reply = proto::EndorsementReplyMsg::Decode(&r);
+    ASSERT_TRUE(reply.ok());
+    EXPECT_EQ(reply->client_index, 1u);
+    EXPECT_EQ(reply->proposal_id, 42u);
+  }
+  peer.Stop();
+
+  {
+    SCOPED_TRACE("client host");
+    // The client host only dials: the raw node stands in for peer 0.
+    RawNode raw(NodeRole::kPeer, 0, /*listen=*/true);
+    config.peer_addresses[0] = LocalAddress(raw.transport->listen_port());
+    SocketHost clients(config, &workload, {SocketRole::Kind::kClients});
+    ASSERT_TRUE(clients.Start().ok());
+    const runtime::SocketPeerKey clients_key{NodeRole::kClientHost, 0};
+    ASSERT_TRUE(raw.transport->WaitConnected({clients_key}, 5000));
+
+    // Client 0 fires one proposal; peer 0's share of it reaches the raw
+    // node.
+    node::ClientNode& client = clients.slice().client(0);
+    client.home().Post([&client]() { client.FireProposal({"1"}); });
+    ASSERT_TRUE(raw.sink.WaitFor(1, 5000));
+    const auto got = raw.sink.Take();
+    ASSERT_EQ(got.size(), 1u);
+    ByteReader r(got[0].second.payload);
+    const auto fired = proto::ProposalMsg::Decode(&r);
+    ASSERT_TRUE(fired.ok());
+    const uint64_t id = fired->proposal.proposal_id;
+    EXPECT_EQ(fired->client_index, 0u);
+    EXPECT_EQ(clients.metrics().unresolved_fired(), 1u);
+
+    ExpectEachDropped(
+        clients, raw, clients_key,
+        {{WireMessageType::kEndorsementReply,
+          node::EndorsementReplyToWire(2, id, Status::NotFound("x")).Encode()},
+         {WireMessageType::kBusy, proto::BusyMsg{2, id, 0}.Encode()},
+         {WireMessageType::kOutcome,
+          proto::OutcomeMsg{node::ClientNameFor(1, 0), id,
+                            proto::TxValidationCode::kValid}
+              .Encode()},
+         {WireMessageType::kBusy, Truncated(proto::BusyMsg{0, id, 0}.Encode())},
+         {WireMessageType::kProposal, valid_proposal.Encode()},
+         {WireMessageType::kStateRequest, proto::StateRequestMsg{1}.Encode()}});
+    EXPECT_EQ(clients.metrics().unresolved_fired(), 1u);
+
+    // Still serving: a valid BUSY resolves the proposal (its retry waits
+    // out the hint, past the end of the test).
+    ASSERT_TRUE(raw.transport->Send(
+        clients_key, WireMessageType::kBusy,
+        proto::BusyMsg{0, id, 60 * sim::kSecond}.Encode()));
+    EXPECT_TRUE(WaitUntil(
+        5000, [&]() { return clients.metrics().unresolved_fired() == 0; }));
+    clients.Stop();
+  }
+  orderer.Stop();
 }
 
 // The directory contract of a socket slice: counts come from the config on

@@ -22,4 +22,10 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
+std::string_view TrimSpace(std::string_view s) {
+  const size_t begin = s.find_first_not_of(" \t\r");
+  if (begin == std::string_view::npos) return {};
+  return s.substr(begin, s.find_last_not_of(" \t\r") - begin + 1);
+}
+
 }  // namespace fabricpp

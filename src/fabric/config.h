@@ -100,18 +100,24 @@ struct FabricConfig {
   /// proposal turn this off.
   bool client_resubmit = true;
   /// Resubmission budget per proposal when client_resubmit is on. Must be
-  /// in [1, 64]; use client_resubmit=false to disable retries entirely.
+  /// in [1, 64] (above 64 the backoff shift would overflow); use
+  /// client_resubmit=false to disable retries entirely.
   uint32_t client_max_retries = 3;
   /// Exponential backoff before a resubmission: attempt k waits
   /// base * 2^k, capped at client_retry_backoff_max, then scaled by a
   /// uniform jitter factor in [1 - jitter, 1 + jitter]. Backoff prevents
   /// retry storms when aborts come from faults rather than contention.
+  /// Checked even with client_resubmit off, because BUSY retries use it
+  /// too: base and max must be > 0 and max >= base, or backoff degenerates
+  /// into constant instant retry.
   sim::SimTime client_retry_backoff_base = 5 * sim::kMillisecond;
   sim::SimTime client_retry_backoff_max = 500 * sim::kMillisecond;
   double client_retry_jitter = 0.2;
   /// A proposal whose endorsements have not all arrived after this long is
   /// aborted (kAbortEndorsementTimeout) and resubmitted per the backoff
-  /// policy. Covers lost proposals and lost endorsement replies.
+  /// policy. Covers lost proposals and lost endorsement replies. This and
+  /// client_commit_timeout must be > 0: a zero timeout aborts every proposal
+  /// at once.
   sim::SimTime client_endorsement_timeout = 10 * sim::kSecond;
   /// An assembled transaction not resolved (committed or aborted) this long
   /// after submission to ordering is abandoned (kAbortCommitTimeout) and
@@ -135,18 +141,22 @@ struct FabricConfig {
   /// Server-suggested minimum delay carried in BUSY responses. The client
   /// waits at least this long (its own exponential backoff still applies on
   /// top) before resubmitting, so load sheds back to the edge. Must be > 0
-  /// whenever admission_queue_depth > 0.
+  /// whenever admission_queue_depth > 0 (a zero hint makes every BUSY an
+  /// instant retry).
   sim::SimTime busy_retry_hint = 20 * sim::kMillisecond;
   /// Deficit-round-robin quantum (in transaction cost units) of the fair
   /// scheduler in front of the orderer's batch cutter. 0 = FIFO admission
   /// (arrival order, still bounded per client); > 0 = each client queue
   /// earns `quantum` units per scheduler round, so a hot client's backlog
-  /// cannot starve the others. Must be in [0, 4096].
+  /// cannot starve the others. Must be in [0, 4096], and > 0 only with
+  /// admission_queue_depth > 0: the scheduler drains the orderer's bounded
+  /// admission queues.
   uint32_t fair_sched_quantum = 0;
   /// Conflict-aware surcharge (arXiv 2407.19732): extra deficit units a
   /// transaction pays per currently-hot key it touches, making hot-key
   /// spammers consume their fair share faster. 0 = off. Requires
-  /// fair_sched_quantum > 0. Must be in [0, 1024].
+  /// fair_sched_quantum > 0, whose deficit units it is paid in. Must be in
+  /// [0, 1024].
   uint32_t fair_conflict_penalty = 0;
 
   // --- Hardware model ---
@@ -174,11 +184,19 @@ struct FabricConfig {
   // --- Block formation (paper Table 5) ---
   ordering::BatchCutConfig block;
   ordering::ReorderConfig reorder;
+  /// kRaft runs under the sim and thread runtimes only: Raft RPCs do not
+  /// ride the wire protocol.
   OrderingBackend ordering_backend = OrderingBackend::kSolo;
+  /// Must be odd and at most 63 under kRaft: an even cluster tolerates no
+  /// more failures than the next-smaller odd one but needs a larger quorum
+  /// (size/2 + 1) to commit.
   uint32_t raft_cluster_size = 3;
+  /// Under kRaft, 0 < heartbeat_interval < election_timeout_min <=
+  /// election_timeout_max: a heartbeat period at or above the election
+  /// floor makes followers time out and depose a healthy leader.
   raft::Params raft_params;
   /// How long a peer that has detected a gap in its block stream waits for
-  /// the orderer's re-delivery before asking again.
+  /// the orderer's re-delivery before asking again. Must be > 0.
   sim::SimTime peer_fetch_retry_interval = 500 * sim::kMillisecond;
 
   // --- Fabric++ feature flags (Figure 10's ablation switches these) ---
@@ -209,7 +227,8 @@ struct FabricConfig {
   // --- Socket deployment (runtime_mode = "socket") ---
   /// TCP address ("host:port") peer i is reachable at. Under socket mode
   /// there must be exactly num_orgs * peers_per_org entries; every process
-  /// in the cluster runs from the same list so dialing and listening agree.
+  /// in the cluster runs from the same list so dialing and listening agree,
+  /// and no entry may be empty.
   /// Port 0 is allowed only for in-process test clusters that rewire
   /// addresses after binding.
   std::vector<std::string> peer_addresses;
@@ -225,8 +244,12 @@ struct FabricConfig {
   uint32_t socket_connect_timeout_ms = 5000;
   /// Upper bound a receiver accepts for one wire frame (header + payload +
   /// CRC). Frames announcing more are a stream error and drop the
-  /// connection. Must be in [4096, 1 GiB]; size it above the largest block
-  /// (max_block_bytes plus framing slack).
+  /// connection. Must be in [4096, 1 GiB], and under socket mode at least
+  /// 2 * block.max_bytes + 64 KiB: the batch cutter cuts *after* the
+  /// transaction that crosses max_bytes, so a block can overshoot the bound
+  /// by one transaction (itself up to ~max_bytes), and the block message
+  /// adds header, metadata and framing. A block frame over the receiver's
+  /// bound would be shed at the sender, and the peer would stall for it.
   uint64_t socket_max_frame_bytes = 64ull << 20;
 
   /// runtime_mode resolved to the enum. Call Validate() first; an
@@ -244,8 +267,10 @@ struct FabricConfig {
   /// the fine-grained concurrency control that enables the former.
   static FabricConfig FabricPlusPlus();
 
-  /// Sanity-checks the configuration; FabricNetwork refuses to build from
-  /// an invalid one. Returns the first problem found.
+  /// Sanity-checks the configuration: each row of ConfigFields()
+  /// (config_fields.h) against its range, then the rules that relate
+  /// fields. FabricNetwork refuses to build from an invalid one. Returns the
+  /// first problem found.
   Status Validate() const;
 };
 

@@ -30,8 +30,10 @@ struct DeploymentConfig {
 ///   workload = smallbank           # or "ycsb"
 ///   smallbank_zipf = 1.0
 ///
-/// Unknown keys are an error (a typo must not silently run a different
-/// experiment). See docs/ and scripts/socket_smoke.sh for full examples.
+/// Every other key is a row of ConfigFields() or WorkloadFields()
+/// (fabric/config_fields.cc), which also gives its range. Unknown keys are
+/// an error (a typo must not silently run a different experiment); every
+/// error names its line. scripts/socket_smoke.sh writes a full example.
 Result<DeploymentConfig> ParseDeploymentText(const std::string& text);
 
 /// Reads `path` and parses it with ParseDeploymentText.

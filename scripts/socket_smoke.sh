@@ -17,6 +17,10 @@
 # its log must show that it caught up (it answers proposals with BUSY
 # until then).
 #
+# Before any cluster starts, the daemon must refuse a deployment file with
+# an out-of-range value (smallbank_users = 0): exit status 1 and a message
+# naming the key, not a crash.
+#
 # Usage: scripts/socket_smoke.sh [BUILD_DIR] (default: build)
 set -u
 
@@ -51,6 +55,19 @@ cleanup() {
   rm -rf "$WORK_DIR"
 }
 trap cleanup EXIT
+
+echo "== a bad deployment file is refused =="
+printf 'workload = smallbank\nsmallbank_users = 0\n' > "$WORK_DIR/bad.conf"
+"$NODE_BIN" --config "$WORK_DIR/bad.conf" --role orderer \
+  > "$WORK_DIR/bad.log" 2>&1
+BAD_STATUS=$?
+if [ "$BAD_STATUS" -ne 1 ] || ! grep -q smallbank_users "$WORK_DIR/bad.log"; then
+  echo "fabricpp_node exited $BAD_STATUS on smallbank_users = 0" \
+    "(want 1 and a message naming the key):" >&2
+  cat "$WORK_DIR/bad.log" >&2
+  exit 1
+fi
+cat "$WORK_DIR/bad.log"
 
 for CHANNELS in 1 2; do
   cat > "$CONF" <<EOF

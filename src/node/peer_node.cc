@@ -182,6 +182,7 @@ void PeerNode::DrainReorderBuffer(uint32_t channel) {
 void PeerNode::RequestMissingBlocks(uint32_t channel) {
   if (crashed_) return;
   const uint64_t from = channels_[channel].next_accept;
+  channels_[channel].fetched_from = from;
   ctx_.mesh->SendToOrderer(endpoint_for(channel),
                            proto::BlockRequestMsg{channel, index_, from},
                            kMessageOverhead);
@@ -208,7 +209,10 @@ void PeerNode::HandleChainInfo(uint32_t channel, uint64_t orderer_height) {
   if (crashed_) return;
   ChannelState& ch = channels_[channel];
   if (ch.next_accept <= orderer_height) {
-    // Still behind the orderer's dispatched chain: keep fetching.
+    // Still behind the orderer's dispatched chain. When the blocks sent
+    // before this reply moved the frontier, ask for the next batch at once;
+    // the timer retries a lost reply or a batch still in flight.
+    if (ch.next_accept > ch.fetched_from) RequestMissingBlocks(channel);
     ArmFetchTimer(channel);
     return;
   }

@@ -136,6 +136,8 @@ class PeerNode {
     /// Out-of-order arrivals, keyed by block number.
     std::map<uint64_t, std::shared_ptr<proto::Block>> reorder_buffer;
     bool fetch_timer_armed = false;
+    /// The `from` of the last block request sent to the orderer.
+    uint64_t fetched_from = 0;
     /// Catch-up bookkeeping: set between StartCatchUp() and chain parity;
     /// proposals are refused with BUSY meanwhile.
     bool recovering = false;

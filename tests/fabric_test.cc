@@ -358,6 +358,32 @@ TEST(FabricNetworkTest, RestartedPeerAnswersBusyUntilCaughtUp) {
   EXPECT_GT(endorsed_by_peer1, 0u);
 }
 
+TEST(FabricNetworkTest, RestartedPeerCatchesUpWithBlocksFasterThanItsTimer) {
+  // The orderer answers a fetch with at most 16 blocks, and a peer retries
+  // a fetch every peer_fetch_retry_interval (500 ms): 32 blocks/s. Blocks
+  // here come faster than that, so a peer that fetched again only on its
+  // timer would never reach the tip. It asks again as soon as a fetch has
+  // moved its frontier.
+  SmallbankWorkload workload(SmallSmallbank());
+  FabricConfig config = QuickPlusPlus();
+  config.block.max_transactions = 4;
+  config.cost.block_fixed_order = 2000;
+  config.cost.block_fixed_commit = 2000;
+  FabricNetwork network(config, &workload);
+  network.SchedulePeerCrash(1, 1 * sim::kSecond, 3 * sim::kSecond);
+  uint64_t behind_at_restart = 0;
+  network.env().ScheduleAt(3 * sim::kSecond, [&]() {
+    behind_at_restart = network.peer(0).ledger(0).Height() -
+                        network.peer(1).ledger(0).Height();
+  });
+  const RunReport report = network.RunFor(5 * sim::kSecond);
+
+  EXPECT_GT(network.peer(0).ledger(0).Height(), 5u * 32u);
+  EXPECT_GT(behind_at_restart, 2u * 32u);
+  EXPECT_EQ(report.peer_recoveries, 1u);
+  EXPECT_LT(report.recovery_max_ms, 500.0);
+}
+
 TEST(FabricNetworkTest, MultiChannelIsolated) {
   SmallbankWorkload workload(SmallSmallbank());
   FabricConfig config = QuickVanilla();

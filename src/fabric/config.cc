@@ -70,8 +70,8 @@ Status FabricConfig::Validate() const {
   }
   const auto mode = runtime::ParseRuntimeMode(runtime_mode);
   if (!mode.ok()) {
-    return invalid("runtime_mode must be sim, thread or socket, not \"" +
-                   runtime_mode + "\"");
+    return invalid(StrFormat("runtime_mode must be sim, thread or socket, "
+                             "not \"%s\"", runtime_mode.c_str()));
   }
   if (*mode != runtime::RuntimeMode::kSocket) return Status::OK();
   if (ordering_backend == OrderingBackend::kRaft) {

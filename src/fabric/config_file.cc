@@ -26,8 +26,9 @@ Result<DeploymentConfig> ParseDeploymentText(const std::string& text) {
     } else if (value == "fabric++" || value == "fabricpp") {
       config = FabricConfig::FabricPlusPlus();
     } else {
-      return Status::InvalidArgument("bad value for preset: \"" +
-                                     std::string(value) + "\"");
+      return Status::InvalidArgument(
+          StrFormat("bad value for preset: \"%.*s\"",
+                    static_cast<int>(value.size()), value.data()));
     }
   }
 
@@ -42,8 +43,8 @@ Result<DeploymentConfig> ParseDeploymentText(const std::string& text) {
     const size_t eq = entry.find('=');
     if (eq == std::string::npos) {
       return Status::InvalidArgument(
-          "line " + std::to_string(line_no) + ": expected key = value, got \"" +
-          std::string(entry) + "\"");
+          StrFormat("line %u: expected key = value, got \"%.*s\"", line_no,
+                    static_cast<int>(entry.size()), entry.data()));
     }
     const std::string_view key = TrimSpace(entry.substr(0, eq));
     const std::string_view value = TrimSpace(entry.substr(eq + 1));
@@ -53,8 +54,8 @@ Result<DeploymentConfig> ParseDeploymentText(const std::string& text) {
       s = SetWorkloadField(&spec, key, value);
     }
     if (!s.ok()) {
-      return Status::InvalidArgument("line " + std::to_string(line_no) + ": " +
-                                     s.message());
+      return Status::InvalidArgument(
+          StrFormat("line %u: %s", line_no, s.message().c_str()));
     }
   }
 

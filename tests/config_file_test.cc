@@ -37,7 +37,8 @@ std::string Render(const FieldRef& ref,
         } else if constexpr (std::is_same_v<T, std::vector<std::string>*>) {
           std::string joined;
           for (const std::string& entry : *p) {
-            joined += (joined.empty() ? "" : ",") + entry;
+            if (!joined.empty()) joined += ',';
+            joined += entry;
           }
           return joined;
         } else {

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/strings.h"
 #include "fabric/config_fields.h"
 #include "fabric/network.h"
 #include "workload/custom.h"
@@ -118,18 +119,25 @@ int main(int argc, char** argv) {
     }
     const std::string name(argv[i] + 2, eq - argv[i] - 2);
     const std::string value = eq + 1;
+    bool parsed = true;
     if (name == "workload") options.workload = value;
     else if (name == "system") options.system = value;
-    else if (name == "seconds") options.seconds = std::atof(value.c_str());
-    else if (name == "zipf") options.zipf = std::atof(value.c_str());
-    else if (name == "pw") options.prob_write = std::atof(value.c_str());
-    else if (name == "rw") options.rw = std::atoi(value.c_str());
-    else if (name == "hr") options.hr = std::atof(value.c_str());
-    else if (name == "hw") options.hw = std::atof(value.c_str());
-    else if (name == "hss") options.hss = std::atof(value.c_str());
+    else if (name == "seconds") parsed = ParseNumber(value, &options.seconds);
+    else if (name == "zipf") parsed = ParseNumber(value, &options.zipf);
+    else if (name == "pw") parsed = ParseNumber(value, &options.prob_write);
+    else if (name == "rw") parsed = ParseNumber(value, &options.rw);
+    else if (name == "hr") parsed = ParseNumber(value, &options.hr);
+    else if (name == "hw") parsed = ParseNumber(value, &options.hw);
+    else if (name == "hss") parsed = ParseNumber(value, &options.hss);
     else if (name == "mix") options.ycsb_mix = value;
-    else if (name == "raft") options.raft = std::atoi(value.c_str());
+    else if (name == "raft") parsed = ParseNumber(value, &options.raft);
     else options.fields.emplace_back(name, value);
+    if (!parsed) {
+      std::fprintf(stderr, "bad value for --%s: \"%s\"\n", name.c_str(),
+                   value.c_str());
+      PrintUsage();
+      return 1;
+    }
   }
 
   const auto workload = MakeWorkload(options);

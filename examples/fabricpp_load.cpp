@@ -13,12 +13,12 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "crypto/sha256.h"
 #include "fabric/config_file.h"
 #include "fabric/socket_host.h"
@@ -46,10 +46,15 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--config" && i + 1 < argc) {
       config_path = argv[++i];
-    } else if (arg == "--seconds" && i + 1 < argc) {
-      seconds = std::atof(argv[++i]);
-    } else if (arg == "--warmup" && i + 1 < argc) {
-      warmup = std::atof(argv[++i]);
+    } else if ((arg == "--seconds" || arg == "--warmup") && i + 1 < argc) {
+      const std::string value = argv[++i];
+      if (!fabricpp::ParseNumber(value,
+                                 arg == "--seconds" ? &seconds : &warmup)) {
+        std::fprintf(stderr, "bad value for %s: \"%s\"\n", arg.c_str(),
+                     value.c_str());
+        Usage(argv[0]);
+        return 2;
+      }
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (arg == "--check") {

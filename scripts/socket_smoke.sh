@@ -19,7 +19,9 @@
 #
 # Before any cluster starts, the daemon must refuse a deployment file with
 # an out-of-range value (smallbank_users = 0): exit status 1 and a message
-# naming the key, not a crash.
+# naming the key, not a crash. Likewise fabricpp_cli must refuse a flag
+# value that is not a whole number (--seconds=abc) with exit status 1
+# instead of running a zero-second experiment.
 #
 # Usage: scripts/socket_smoke.sh [BUILD_DIR] (default: build)
 set -u
@@ -27,6 +29,7 @@ set -u
 BUILD_DIR="${1:-build}"
 NODE_BIN="$BUILD_DIR/examples/fabricpp_node"
 LOAD_BIN="$BUILD_DIR/examples/fabricpp_load"
+CLI_BIN="$BUILD_DIR/examples/fabricpp_cli"
 SECONDS_TO_RUN="${FABRICPP_SMOKE_SECONDS:-4}"
 # The kill -9 pass: load length, and when peer 1 dies and comes back.
 KILL_RUN_SECONDS=8
@@ -36,7 +39,7 @@ WORK_DIR="$(mktemp -d)"
 CONF="$WORK_DIR/cluster.conf"
 BASE_PORT="${FABRICPP_SMOKE_BASE_PORT:-7150}"
 
-for bin in "$NODE_BIN" "$LOAD_BIN"; do
+for bin in "$NODE_BIN" "$LOAD_BIN" "$CLI_BIN"; do
   if [ ! -x "$bin" ]; then
     echo "missing binary: $bin (build the examples first)" >&2
     exit 1
@@ -68,6 +71,17 @@ if [ "$BAD_STATUS" -ne 1 ] || ! grep -q smallbank_users "$WORK_DIR/bad.log"; the
   exit 1
 fi
 cat "$WORK_DIR/bad.log"
+
+echo "== a bad flag value is refused =="
+"$CLI_BIN" --seconds=abc --system=fabric > "$WORK_DIR/bad_flag.log" 2>&1
+BAD_STATUS=$?
+if [ "$BAD_STATUS" -ne 1 ] || ! grep -q -- "--seconds" "$WORK_DIR/bad_flag.log"; then
+  echo "fabricpp_cli exited $BAD_STATUS on --seconds=abc" \
+    "(want 1 and a message naming the flag):" >&2
+  cat "$WORK_DIR/bad_flag.log" >&2
+  exit 1
+fi
+head -n 1 "$WORK_DIR/bad_flag.log"
 
 for CHANNELS in 1 2; do
   cat > "$CONF" <<EOF

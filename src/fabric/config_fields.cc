@@ -1,8 +1,6 @@
 #include "fabric/config_fields.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <optional>
 #include <sstream>
 #include <type_traits>
@@ -23,12 +21,9 @@ constexpr std::string_view kConcurrencyNames[] = {"coarse", "fine"};
 constexpr std::string_view kYcsbMixNames[] = {"a", "b", "c", "f"};
 constexpr std::string_view kWorkloadNames[] = {"smallbank", "ycsb"};
 
-template <typename T>
-bool ParseNumber(std::string_view text, T* out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && ptr == end;
-}
+// The genesis numbers its entries in 32 bits (statedb::SeedTable), and
+// Smallbank seeds two entries per user.
+constexpr uint64_t kMaxSeedEntries = UINT32_MAX;
 
 template <typename Owner>
 Status CheckRange(const ConfigField<Owner>& field, Owner& owner) {
@@ -70,8 +65,6 @@ bool Parse(const ConfigField<Owner>& field, Owner& owner,
         } else if constexpr (std::is_same_v<T, bool*>) {
           *p = text == "true" || text == "1" || text == "on";
           return *p || text == "false" || text == "0" || text == "off";
-        } else if constexpr (std::is_same_v<T, double*>) {
-          return ParseNumber(text, p) && std::isfinite(*p);
         } else if constexpr (std::is_arithmetic_v<std::remove_pointer_t<T>>) {
           return ParseNumber(text, p);
         } else if constexpr (std::is_same_v<T, std::string*>) {
@@ -168,11 +161,12 @@ const std::vector<ConfigField<WorkloadSpec>>& WorkloadFields() {
   using Owner = WorkloadSpec;
   static const std::vector<ConfigField<Owner>> rows = {
       FIELD("workload", &o.name, 0, 0, kWorkloadNames),
-      FIELD("smallbank_users", &o.smallbank.num_users, 1),
+      FIELD("smallbank_users", &o.smallbank.num_users, 1,
+            kMaxSeedEntries / 2),
       FIELD("smallbank_prob_write", &o.smallbank.prob_write, 0, 1),
       FIELD("smallbank_zipf", &o.smallbank.zipf_s, 0),
       FIELD("ycsb_mix", &o.ycsb.mix, 0, 0, kYcsbMixNames),
-      FIELD("ycsb_records", &o.ycsb.num_records, 1),
+      FIELD("ycsb_records", &o.ycsb.num_records, 1, kMaxSeedEntries),
       FIELD("ycsb_zipf", &o.ycsb.zipf_s, 0),
       FIELD("ycsb_value_size", &o.ycsb.value_size),
   };

@@ -14,9 +14,9 @@ namespace fabricpp::storage {
 
 namespace {
 
-constexpr uint64_t kMagic = 0xfab81c557ab1e001ULL;
+constexpr uint64_t kMagic = 0xfab81c557ab1e002ULL;
 constexpr size_t kIndexInterval = 16;
-constexpr size_t kFooterSize = 8 + 8 + 8 + 4 + 8;  // offsets, count, crc, magic.
+constexpr size_t kFooterSize = 8 + 8 + 4 + 8;  // offset, count, crc, magic.
 
 }  // namespace
 
@@ -74,7 +74,6 @@ Status SstableBuilder::Finish(const std::string& path) {
   Bytes out;
   ByteWriter writer(&out);
 
-  BloomFilter bloom(entries_.size(), bloom_bits_per_key_);
   std::vector<std::pair<std::string, uint64_t>> index;
 
   for (size_t i = 0; i < entries_.size(); ++i) {
@@ -82,7 +81,6 @@ Status SstableBuilder::Finish(const std::string& path) {
     if (i % kIndexInterval == 0) {
       index.emplace_back(entry.key, out.size());
     }
-    bloom.Add(entry.key);
     writer.PutString(entry.key);
     writer.PutU8(static_cast<uint8_t>(entry.type));
     writer.PutString(entry.value);
@@ -95,14 +93,10 @@ Status SstableBuilder::Finish(const std::string& path) {
     writer.PutU64(offset);
   }
 
-  const uint64_t bloom_offset = out.size();
-  writer.PutBytes(bloom.Serialize());
-
-  // Footer (fixed size): index_offset, bloom_offset, num_entries, crc(data
-  // up to footer), magic.
+  // Footer (fixed size): index_offset, num_entries, crc(data up to footer),
+  // magic.
   const uint32_t crc = proto::Crc32(out.data(), out.size());
   writer.PutU64(index_offset);
-  writer.PutU64(bloom_offset);
   writer.PutU64(entries_.size());
   writer.PutU32(crc);
   writer.PutU64(kMagic);
@@ -119,10 +113,9 @@ Status SstableBuilder::Finish(const std::string& path) {
   return Status::OK();
 }
 
-Result<Sstable> Sstable::Open(const std::string& path,
-                              std::shared_ptr<BlockCache> cache) {
+Result<Sstable> Sstable::Open(const std::string& path) {
   // Validation pass: read the whole file once to check the footer and CRC.
-  // Afterwards only the index/bloom/bounds stay in memory; entry blocks are
+  // Afterwards only the index and bounds stay in memory; entry blocks are
   // re-read on demand through the retained descriptor.
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) {
@@ -142,14 +135,13 @@ Result<Sstable> Sstable::Open(const std::string& path,
 
   ByteReader footer(data.data() + data.size() - kFooterSize, kFooterSize);
   FABRICPP_ASSIGN_OR_RETURN(const uint64_t index_offset, footer.GetU64());
-  FABRICPP_ASSIGN_OR_RETURN(const uint64_t bloom_offset, footer.GetU64());
   FABRICPP_ASSIGN_OR_RETURN(const uint64_t num_entries, footer.GetU64());
   FABRICPP_ASSIGN_OR_RETURN(const uint32_t crc, footer.GetU32());
   FABRICPP_ASSIGN_OR_RETURN(const uint64_t magic, footer.GetU64());
   if (magic != kMagic) {
     return Status::Internal("sstable bad magic: " + path);
   }
-  if (bloom_offset > data.size() || index_offset > bloom_offset) {
+  if (index_offset > data.size() - kFooterSize) {
     return Status::Internal("sstable bad offsets: " + path);
   }
   if (proto::Crc32(data.data(), data.size() - kFooterSize) != crc) {
@@ -158,15 +150,13 @@ Result<Sstable> Sstable::Open(const std::string& path,
 
   Sstable table;
   table.path_ = path;
-  table.cache_ = std::move(cache);
-  table.cache_id_ = BlockCache::NextTableId();
-  table.file_size_ = data.size();
   table.index_offset_ = index_offset;
   table.num_entries_ = num_entries;
 
   // Index block.
   {
-    ByteReader reader(data.data() + index_offset, bloom_offset - index_offset);
+    ByteReader reader(data.data() + index_offset,
+                      data.size() - kFooterSize - index_offset);
     FABRICPP_ASSIGN_OR_RETURN(const uint64_t count, reader.GetVarint());
     table.index_.reserve(count);
     uint64_t prev_offset = 0;
@@ -179,13 +169,6 @@ Result<Sstable> Sstable::Open(const std::string& path,
       prev_offset = offset;
       table.index_.emplace_back(std::move(key), offset);
     }
-  }
-  // Bloom block.
-  {
-    ByteReader reader(data.data() + bloom_offset,
-                      data.size() - kFooterSize - bloom_offset);
-    FABRICPP_ASSIGN_OR_RETURN(const Bytes bloom_bytes, reader.GetBytes());
-    table.bloom_ = BloomFilter::Deserialize(bloom_bytes);
   }
   // Key bounds, decoded from the validated in-memory copy before it is
   // dropped: smallest = first entry, largest = last entry of the last block.
@@ -219,27 +202,15 @@ Result<TableEntry> Sstable::DecodeEntry(ByteReader* reader) {
   return entry;
 }
 
-Result<BlockCache::Handle> Sstable::ReadBlock(size_t block,
-                                              bool fill_cache) const {
-  const bool use_cache = fill_cache && cache_ != nullptr;
-  if (use_cache) {
-    if (BlockCache::Handle handle =
-            cache_->Lookup(cache_id_, static_cast<uint32_t>(block))) {
-      return handle;
-    }
-  }
+Result<Bytes> Sstable::ReadBlock(size_t block) const {
   const uint64_t offset = BlockOffset(block);
   Bytes buf(static_cast<size_t>(BlockEnd(block) - offset));
   FABRICPP_RETURN_IF_ERROR(file_->Read(offset, buf.size(), buf.data()));
-  if (use_cache) {
-    return cache_->Insert(cache_id_, static_cast<uint32_t>(block),
-                          std::move(buf));
-  }
-  return std::make_shared<const Bytes>(std::move(buf));
+  return buf;
 }
 
 std::optional<TableEntry> Sstable::Get(std::string_view key) const {
-  if (num_entries_ == 0 || !bloom_.MayContain(key)) return std::nullopt;
+  if (num_entries_ == 0) return std::nullopt;
   if (key < smallest_key_ || key > largest_key_) return std::nullopt;
 
   // Greatest index point with index_key <= key.
@@ -256,9 +227,9 @@ std::optional<TableEntry> Sstable::Get(std::string_view key) const {
 
   // The match, if any, lies inside block lo-1: its first key is <= key and
   // the next block's first key is > key.
-  const auto block = ReadBlock(lo - 1, /*fill_cache=*/true);
+  const auto block = ReadBlock(lo - 1);
   if (!block.ok()) return std::nullopt;
-  ByteReader reader((*block)->data(), (*block)->size());
+  ByteReader reader(*block);
   while (!reader.AtEnd()) {
     const auto entry = DecodeEntry(&reader);
     if (!entry.ok()) return std::nullopt;
@@ -270,14 +241,14 @@ std::optional<TableEntry> Sstable::Get(std::string_view key) const {
 
 void Sstable::Iterator::Advance() {
   while (true) {
-    if (data_ != nullptr && pos_ < data_->size()) {
-      ByteReader reader(data_->data() + pos_, data_->size() - pos_);
+    if (pos_ < data_.size()) {
+      ByteReader reader(data_.data() + pos_, data_.size() - pos_);
       const auto entry = DecodeEntry(&reader);
       if (!entry.ok()) {
         valid_ = false;
         return;
       }
-      pos_ = data_->size() - reader.remaining();
+      pos_ = data_.size() - reader.remaining();
       entry_ = *entry;
       valid_ = true;
       return;
@@ -286,13 +257,12 @@ void Sstable::Iterator::Advance() {
       valid_ = false;
       return;
     }
-    // Sequential scan: blocks are read directly, not through the cache.
-    const auto block = table_->ReadBlock(block_, /*fill_cache=*/false);
+    auto block = table_->ReadBlock(block_);
     if (!block.ok()) {
       valid_ = false;
       return;
     }
-    data_ = *block;
+    data_ = std::move(block).value();
     pos_ = 0;
     ++block_;
   }

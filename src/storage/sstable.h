@@ -11,8 +11,6 @@
 #include "common/bytes.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "storage/block_cache.h"
-#include "storage/bloom.h"
 
 namespace fabricpp::storage {
 
@@ -30,14 +28,11 @@ struct TableEntry {
 /// Writes a sorted run of entries into an immutable table file.
 ///
 /// File layout:
-///   [entries...] [sparse index] [bloom filter] [footer]
+///   [entries...] [sparse index] [footer]
 /// The sparse index holds every 16th key with its file offset; the footer
-/// carries section offsets, the entry count, a CRC and a magic number.
+/// carries the index offset, the entry count, a CRC and a magic number.
 class SstableBuilder {
  public:
-  explicit SstableBuilder(uint32_t bloom_bits_per_key = 10)
-      : bloom_bits_per_key_(bloom_bits_per_key) {}
-
   /// Adds an entry; keys must arrive in strictly increasing order.
   void Add(std::string_view key, EntryType type, std::string_view value);
 
@@ -47,24 +42,19 @@ class SstableBuilder {
   size_t num_entries() const { return entries_.size(); }
 
  private:
-  uint32_t bloom_bits_per_key_;
   std::vector<TableEntry> entries_;
 };
 
 /// An open, immutable table.
 ///
 /// Open() reads and CRC-validates the whole file once, then retains only
-/// the sparse index, the Bloom filter and the key bounds in memory; entry
-/// data is re-read from disk on demand in *blocks* — the spans between two
-/// consecutive sparse-index points (~16 entries). Point lookups go through
-/// the optional shared BlockCache; sequential scans (compaction, iterators)
-/// read blocks directly so they cannot wipe the cache's hot set.
+/// the sparse index and the key bounds in memory; entry data is re-read
+/// from disk on demand in *blocks* — the spans between two consecutive
+/// sparse-index points (~16 entries).
 class Sstable {
  public:
-  /// Opens and validates the footer/CRC. `cache` (may be null) is consulted
-  /// and filled by point lookups.
-  static Result<Sstable> Open(const std::string& path,
-                              std::shared_ptr<BlockCache> cache = nullptr);
+  /// Opens and validates the footer/CRC.
+  static Result<Sstable> Open(const std::string& path);
 
   /// Point lookup. Returns nullopt when the key is absent from this table
   /// (a found tombstone IS returned — callers must stop searching older
@@ -74,9 +64,8 @@ class Sstable {
   /// In-order scan of all entries (compaction, iterators).
   void ForEach(const std::function<void(const TableEntry&)>& fn) const;
 
-  /// Positional in-order iterator over the table's entries. Reads blocks
-  /// sequentially, bypassing the cache (scan resistance). The table must
-  /// outlive the iterator.
+  /// Positional in-order iterator over the table's entries, reading one
+  /// block at a time. The table must outlive the iterator.
   class Iterator {
    public:
     explicit Iterator(const Sstable* table) : table_(table) { Advance(); }
@@ -87,9 +76,9 @@ class Sstable {
    private:
     void Advance();
     const Sstable* table_;
-    size_t block_ = 0;           // Next block to load.
-    BlockCache::Handle data_;    // Current block's bytes.
-    size_t pos_ = 0;             // Decode position within data_.
+    size_t block_ = 0;  // Next block to load.
+    Bytes data_;        // Current block's bytes.
+    size_t pos_ = 0;    // Decode position within data_.
     bool valid_ = false;
     TableEntry entry_;
   };
@@ -99,13 +88,6 @@ class Sstable {
   const std::string& path() const { return path_; }
   const std::string& smallest_key() const { return smallest_key_; }
   const std::string& largest_key() const { return largest_key_; }
-  /// Size of the entry region (what compaction rewrites) — the level-sizing
-  /// metric.
-  uint64_t data_bytes() const { return index_offset_; }
-  /// Whole file size on disk.
-  uint64_t file_bytes() const { return file_size_; }
-  /// Process-unique id keying this table's blocks in the BlockCache.
-  uint64_t cache_id() const { return cache_id_; }
 
  private:
   /// Shared pread-able file handle; Sstable is copy/movable, iterators and
@@ -115,7 +97,7 @@ class Sstable {
 
   friend class Iterator;
 
-  Sstable() : bloom_(0, 10) {}
+  Sstable() = default;
 
   size_t num_blocks() const { return index_.size(); }
   uint64_t BlockOffset(size_t block) const { return index_[block].second; }
@@ -123,18 +105,13 @@ class Sstable {
     return block + 1 < index_.size() ? index_[block + 1].second
                                      : index_offset_;
   }
-  /// Reads block `block`, via the cache (fill_cache) or straight from disk.
-  Result<BlockCache::Handle> ReadBlock(size_t block, bool fill_cache) const;
+  Result<Bytes> ReadBlock(size_t block) const;
   static Result<TableEntry> DecodeEntry(ByteReader* reader);
 
   std::string path_;
   std::shared_ptr<File> file_;
-  std::shared_ptr<BlockCache> cache_;
-  uint64_t cache_id_ = 0;
-  uint64_t file_size_ = 0;
   uint64_t index_offset_ = 0;
   size_t num_entries_ = 0;
-  BloomFilter bloom_;
   /// Sparse index: (key, entry offset), ascending — one entry per block.
   std::vector<std::pair<std::string, uint64_t>> index_;
   std::string smallest_key_;

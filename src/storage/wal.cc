@@ -1,5 +1,7 @@
 #include "storage/wal.h"
 
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstring>
 
@@ -40,6 +42,10 @@ Status WalWriter::Append(const Bytes& payload, bool sync) {
 Status WalWriter::Sync() {
   if (file_ == nullptr) return Status::FailedPrecondition("wal not open");
   if (std::fflush(file_) != 0) return Status::Internal("wal flush failed");
+  if (::fsync(::fileno(file_)) != 0) {
+    return Status::Internal(std::string("wal fsync failed: ") +
+                            std::strerror(errno));
+  }
   return Status::OK();
 }
 

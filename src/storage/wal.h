@@ -30,6 +30,7 @@ class WalWriter {
   /// Appends one record; does not flush unless `sync`.
   Status Append(const Bytes& payload, bool sync);
 
+  /// Flushes buffered appends to the file and fsyncs it.
   Status Sync();
   void Close();
 

@@ -187,12 +187,14 @@ TEST(ConfigFileTest, PeerAddressesTrimAndSplitOnCommas) {
 }
 
 TEST(ConfigFileTest, RejectsHostileValues) {
-  // Each used to crash the parser (a zero-sized Zipf table) or to pass
-  // Validate: NaN compares false, the workload keys had no range, and the
-  // millisecond product wrapped.
+  // Each used to crash the parser (a zero-sized or oversized Zipf table) or
+  // to pass Validate: NaN compares false, the workload keys had no range,
+  // and the millisecond product wrapped.
   const std::pair<std::string, std::string> cases[] = {
       {"smallbank_users", "smallbank_users = 0\n"},
+      {"smallbank_users", "smallbank_users = 18446744073709551615\n"},
       {"ycsb_records", "workload = ycsb\nycsb_records = 0\n"},
+      {"ycsb_records", "workload = ycsb\nycsb_records = 4294967296\n"},
       {"client_fire_rate_tps", "client_fire_rate_tps = nan\n"},
       {"smallbank_prob_write", "smallbank_prob_write = 7\n"},
       {"smallbank_zipf", "smallbank_zipf = -3\n"},

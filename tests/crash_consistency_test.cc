@@ -1,23 +1,20 @@
-// Crash-consistency tests for the storage engine's group-commit path: the
-// WAL of a multi-batch log is truncated at EVERY byte boundary (and corrupted at
-// every byte) and recovery must always yield an all-or-nothing prefix of
-// the committed block batches — state writes and the height bookmark never
-// diverge.
+// Crash-consistency tests for the storage engine's WAL: a log of single
+// Put/Delete records is truncated at EVERY byte boundary (and corrupted at
+// every byte), and recovery must always yield the state after an in-order
+// prefix of the records, or refuse to open with kDataLoss.
 //
-// CI runs this binary under ASan in addition to the plain matrix leg; keep
-// the suite names matching "CrashConsistency" so the workflow's -R regex
-// picks them up.
+// The sanitizer leg of CI runs every ctest, so these sweeps also run under
+// ASan/UBSan there.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "storage/db.h"
-#include "storage/write_batch.h"
 
 namespace fabricpp {
 namespace {
@@ -57,90 +54,128 @@ class CrashConsistencyFixture : public ::testing::Test {
   fs::path dir_;
 };
 
-// --- Db-level: a WAL holding two block batches, cut at every byte ---
+// --- Db-level: a WAL of single-write records, cut at every byte ---
 
-class StorageCrashConsistencyTest : public CrashConsistencyFixture {};
+using State = std::map<std::string, std::string>;
+
+struct Record {
+  bool put = true;
+  std::string key;
+  std::string value;
+};
+
+// Every record changes the state, so each prefix has a distinct state.
+const std::vector<Record>& Records() {
+  static const std::vector<Record> records = {
+      {true, "a1", "va1"},   {true, "a2", "va2"},  {true, "height", "1"},
+      {true, "b1", "vb1"},   {false, "a2", ""},    {true, "b2", "vb2"},
+      {true, "height", "2"},
+  };
+  return records;
+}
+
+/// prefixes[k] is the state after the first k records.
+std::vector<State> PrefixStates() {
+  std::vector<State> prefixes(1);
+  for (const Record& record : Records()) {
+    State next = prefixes.back();
+    if (record.put) {
+      next[record.key] = record.value;
+    } else {
+      next.erase(record.key);
+    }
+    prefixes.push_back(std::move(next));
+  }
+  return prefixes;
+}
+
+State ReadState(const storage::Db& db) {
+  State state;
+  db.ForEach([&](const std::string& key, const std::string& value) {
+    state[key] = value;
+  });
+  return state;
+}
+
+/// Length of the record prefix whose state `state` is, or -1 if none.
+int PrefixLength(const std::vector<State>& prefixes, const State& state) {
+  for (size_t k = 0; k < prefixes.size(); ++k) {
+    if (prefixes[k] == state) return static_cast<int>(k);
+  }
+  return -1;
+}
+
+class StorageCrashConsistencyTest : public CrashConsistencyFixture {
+ protected:
+  /// Writes Records() one call each, every append synced, and returns the
+  /// resulting WAL bytes.
+  std::vector<char> WriteLog() {
+    {
+      auto db = storage::Db::Open(Path("db"), Options());
+      EXPECT_TRUE(db.ok());
+      if (!db.ok()) return {};
+      for (const Record& record : Records()) {
+        const Status written = record.put
+                                   ? (*db)->Put(record.key, record.value)
+                                   : (*db)->Delete(record.key);
+        EXPECT_TRUE(written.ok()) << written.ToString();
+      }
+    }
+    return ReadFileBytes(Path("db") + "/wal.log");
+  }
+
+  static storage::DbOptions Options() {
+    storage::DbOptions options;
+    options.sync_writes = true;
+    return options;
+  }
+};
 
 TEST_F(StorageCrashConsistencyTest, WalTruncatedAtEveryByteIsAllOrNothing) {
-  // Build the canonical WAL: two block-sized batches, each carrying its
-  // state writes plus a height bookmark — the commit path's shape.
-  storage::DbOptions options;
-  options.sync_mode = storage::WalSyncMode::kBlock;
-  const std::string wal = Path("db") + "/wal.log";
-  {
-    auto db = storage::Db::Open(Path("db"), options);
-    ASSERT_TRUE(db.ok());
-    storage::WriteBatch a;
-    a.Put("a1", "va1");
-    a.Put("a2", "va2");
-    a.Put("a3", "va3");
-    a.Put("height", "1");
-    ASSERT_TRUE((*db)->ApplyBatch(a).ok());
-    storage::WriteBatch b;
-    b.Put("b1", "vb1");
-    b.Delete("a2");
-    b.Put("b2", "vb2");
-    b.Put("height", "2");
-    ASSERT_TRUE((*db)->ApplyBatch(b).ok());
-    EXPECT_EQ((*db)->wal_appends(), 2u);
-    EXPECT_EQ((*db)->wal_syncs(), 2u);
+  const std::vector<char> full = WriteLog();
+  ASSERT_GT(full.size(), 8 * Records().size());
+  const std::vector<State> prefixes = PrefixStates();
+
+  // End offset of each framed record (8-byte header + little-endian
+  // payload length at header bytes 4..7).
+  std::vector<size_t> ends;
+  for (size_t offset = 0; offset + 8 <= full.size();) {
+    uint32_t length = 0;
+    for (int i = 0; i < 4; ++i) {
+      const auto byte = static_cast<uint8_t>(full[offset + 4 + i]);
+      length |= static_cast<uint32_t>(byte) << (8 * i);
+    }
+    offset += 8 + length;
+    ends.push_back(offset);
   }
-  const std::vector<char> full = ReadFileBytes(wal);
-  ASSERT_GT(full.size(), 16u);  // Two framed records at least.
+  ASSERT_EQ(ends.size(), Records().size());
+  ASSERT_EQ(ends.back(), full.size());
 
   for (size_t cut = 0; cut <= full.size(); ++cut) {
     const std::string scratch = Path("cut" + std::to_string(cut));
     fs::create_directories(scratch);
     WriteFileBytes(scratch + "/wal.log", full, cut);
-    auto db = storage::Db::Open(scratch, options);
+    auto db = storage::Db::Open(scratch, Options());
     // A truncation is a legal crash artifact: recovery must succeed...
     ASSERT_TRUE(db.ok()) << "cut at byte " << cut << ": "
                          << db.status().ToString();
-    // ...and must surface batch A and batch B all-or-nothing, in order.
-    const bool a_applied = (*db)->Get("a1").ok();
-    const bool b_applied = (*db)->Get("b1").ok();
-    if (b_applied) {
-      EXPECT_TRUE(a_applied) << "cut " << cut << ": B without A";
-    }
-    EXPECT_EQ((*db)->Get("a3").ok(), a_applied) << "cut " << cut;
-    EXPECT_EQ((*db)->Get("b2").ok(), b_applied) << "cut " << cut;
-    // a2: written by A, deleted by B.
-    EXPECT_EQ((*db)->Get("a2").ok(), a_applied && !b_applied)
+    // ...and must keep exactly the records that lie whole before the cut.
+    size_t whole = 0;
+    while (whole < ends.size() && ends[whole] <= cut) ++whole;
+    EXPECT_EQ((*db)->wal_records_replayed(), whole) << "cut " << cut;
+    EXPECT_EQ(PrefixLength(prefixes, ReadState(**db)),
+              static_cast<int>(whole))
         << "cut " << cut;
-    // The height bookmark rides inside each batch, so it can never diverge
-    // from the applied state writes.
-    const auto height = (*db)->Get("height");
-    if (b_applied) {
-      ASSERT_TRUE(height.ok());
-      EXPECT_EQ(*height, "2") << "cut " << cut;
-    } else if (a_applied) {
-      ASSERT_TRUE(height.ok());
-      EXPECT_EQ(*height, "1") << "cut " << cut;
-    } else {
-      EXPECT_FALSE(height.ok()) << "cut " << cut;
-    }
     fs::remove_all(scratch);
   }
 }
 
 TEST_F(StorageCrashConsistencyTest, WalCorruptedAtEveryByteNeverTearsABatch) {
-  storage::DbOptions options;
-  options.sync_mode = storage::WalSyncMode::kBlock;
-  const std::string wal = Path("db") + "/wal.log";
-  {
-    auto db = storage::Db::Open(Path("db"), options);
-    ASSERT_TRUE(db.ok());
-    storage::WriteBatch a;
-    a.Put("a1", "va1");
-    a.Put("a2", "va2");
-    a.Put("height", "1");
-    ASSERT_TRUE((*db)->ApplyBatch(a).ok());
-    storage::WriteBatch b;
-    b.Put("b1", "vb1");
-    b.Put("height", "2");
-    ASSERT_TRUE((*db)->ApplyBatch(b).ok());
-  }
-  const std::vector<char> full = ReadFileBytes(wal);
+  // Each single-write record is the unit that must never tear: a flipped
+  // byte may lose the records from it on, never expose a later one alone.
+  const std::vector<char> full = WriteLog();
+  ASSERT_FALSE(full.empty());
+  const std::vector<State> prefixes = PrefixStates();
 
   for (size_t pos = 0; pos < full.size(); ++pos) {
     std::vector<char> corrupt = full;
@@ -148,30 +183,17 @@ TEST_F(StorageCrashConsistencyTest, WalCorruptedAtEveryByteNeverTearsABatch) {
     const std::string scratch = Path("flip" + std::to_string(pos));
     fs::create_directories(scratch);
     WriteFileBytes(scratch + "/wal.log", corrupt, corrupt.size());
-    auto db = storage::Db::Open(scratch, options);
+    auto db = storage::Db::Open(scratch, Options());
     if (!db.ok()) {
       // Detected corruption: refusing to open is the safe outcome.
       EXPECT_EQ(db.status().code(), StatusCode::kDataLoss)
           << "flip at byte " << pos << ": " << db.status().ToString();
     } else {
-      // Whatever recovered must still be an in-order batch prefix with the
-      // height matching the applied state writes exactly.
-      const bool a_applied = (*db)->Get("a1").ok();
-      const bool b_applied = (*db)->Get("b1").ok();
-      if (b_applied) {
-        EXPECT_TRUE(a_applied) << "flip " << pos;
-      }
-      EXPECT_EQ((*db)->Get("a2").ok(), a_applied) << "flip " << pos;
-      const auto height = (*db)->Get("height");
-      if (b_applied) {
-        ASSERT_TRUE(height.ok()) << "flip " << pos;
-        EXPECT_EQ(*height, "2") << "flip " << pos;
-      } else if (a_applied) {
-        ASSERT_TRUE(height.ok()) << "flip " << pos;
-        EXPECT_EQ(*height, "1") << "flip " << pos;
-      } else {
-        EXPECT_FALSE(height.ok()) << "flip " << pos;
-      }
+      // Whatever recovered must be the state after an in-order prefix.
+      const int k = PrefixLength(prefixes, ReadState(**db));
+      EXPECT_GE(k, 0) << "flip " << pos;
+      EXPECT_EQ(static_cast<uint64_t>(k), (*db)->wal_records_replayed())
+          << "flip " << pos;
     }
     fs::remove_all(scratch);
   }
